@@ -16,22 +16,18 @@ whole numpy chunks and packs once.  Cases:
 * ``sketch_file_round_trip`` -- end-to-end ``dump``/``load`` latency of
   framed sketch files (SUBSAMPLE, RELEASE-DB, Count-Min): the cost of
   actually crossing the (S, Q) process boundary.
-* ``header_overhead`` -- the PR-5 wire-v2 tentpole, constant-factor leg:
-  per-frame header bytes (frame minus payload) under v1's JSON extras vs
-  v2's binary varint fields, on every counter-summary codec at small
-  ``k``.  The acceptance gate is *strict*: v2's header must be smaller
-  than v1's on every case.
-* ``chunked_stream`` -- the PR-5 streaming leg: a RELEASE-DB-sized frame
-  encoded/decoded through a file object in bounded windows
-  (``dump_to``/``load_from``), with and without zlib.  Records
-  throughput, the maximum single write/read (the memory-bound evidence),
-  and the compression ratio; asserts no write or read ever exceeds one
-  chunk window while the round trip stays bit-identical.
-* ``sparse_delta`` -- the PR-10 wire-v3 codec leg: sparse counter
-  summaries dumped as v2 frames vs v3 records (which pick the cheapest
-  of raw / varint-delta / zlib per payload).  The gate is *strict in the
-  weak direction*: v3 never stores more payload bytes than v2 on any
-  case, while the charged ``n_bits`` stays exactly equal.
+* ``file_stream`` -- the file leg: a RELEASE-DB-sized frame
+  written through a file object (``dump_to``) and decoded from it in
+  bounded windows (``load_from``), with and without zlib.  Records
+  throughput, the maximum single read (the decode-side memory-bound
+  evidence), and the compression ratio; asserts the payload spans more
+  than one window, no read exceeds ``DEFAULT_CHUNK_BYTES``, and the
+  round trip stays bit-identical.
+* ``sparse_delta`` -- the wire-v3 codec leg: sparse counter summaries
+  dumped as v2 frames vs one-entry v3 containers (whose records pick the
+  cheapest of raw / varint-delta / zlib per payload).  The gate is
+  *strict in the weak direction*: v3 never stores more payload bytes
+  than v2 on any case, while the charged ``n_bits`` stays exactly equal.
 * ``container_ops`` -- the PR-10 container leg: pack a 64-shard fleet
   with ``ContainerWriter``, then measure a full sequential decode
   against one manifest-driven lazy load.  Asserts the partial load
@@ -193,70 +189,34 @@ def bench_round_trip(n: int, d: int, repeats: int) -> dict:
     return {"config": {"n": n, "d": d}, "cases": cases}
 
 
-def bench_header_overhead() -> dict:
-    """v1 JSON headers vs v2 binary varint headers, per codec at small k."""
-    from repro.experiments import measure_frame_overhead
-    from repro.streaming import (
-        LossyCounting,
-        MisraGries,
-        SpaceSaving,
-        StickySampling,
-    )
-
-    stream = np.random.default_rng(4).integers(0, 100, size=600, dtype=np.int64)
-    counter_summaries = {
-        "count-min": CountMinSketch(100, 32, 3, rng=0),
-        "misra-gries": MisraGries(100, 8),
-        "space-saving": SpaceSaving(100, 8),
-        "lossy-counting": LossyCounting(100, 0.05),
-        "sticky-sampling": StickySampling(100, 0.02, 0.1, rng=0),
-    }
-    cases = {}
-    for name, summary in counter_summaries.items():
-        summary.update_many(stream)
-        row = measure_frame_overhead(summary)
-        assert row["v2_header_bytes"] < row["v1_header_bytes"], (
-            f"{name}: v2 header {row['v2_header_bytes']:.0f} B not strictly "
-            f"below v1's {row['v1_header_bytes']:.0f} B"
-        )
-        cases[name] = {key: int(value) for key, value in row.items()}
-    return {"config": {"universe": 100, "k": 8, "stream": len(stream)}, "cases": cases}
-
-
-def bench_chunked_stream(n: int, d: int, chunk_bytes: int, repeats: int) -> dict:
-    """Chunked v2 frames through a file object: throughput + memory bound."""
+def bench_file_stream(n: int, d: int, repeats: int) -> dict:
+    """v2 frames through a file object: throughput + decode memory bound."""
     import io
 
     class SpyStream(io.BytesIO):
         def __init__(self, data=b""):
             super().__init__(data)
-            self.max_write = 0
             self.max_read = 0
-
-        def write(self, data):
-            self.max_write = max(self.max_write, len(data))
-            return super().write(data)
 
         def read(self, size=-1):
             data = super().read(size)
             self.max_read = max(self.max_read, len(data))
             return data
 
+    window = wire.DEFAULT_CHUNK_BYTES
     db = random_database(n, d, density=0.3, rng=6)
     p = SketchParams(n=n, d=d, k=2, epsilon=0.05, delta=0.1)
     sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p, rng=0)
     payload_bits = sketch.size_in_bits()
+    assert (payload_bits + 7) // 8 > window, "payload fits in one read window"
     cases = {}
     for label, compress in (("plain", False), ("zlib", True)):
         def encode():
-            spy = SpyStream()
-            wire.dump_to(
-                sketch, spy, version=2, compress=compress, chunk_bytes=chunk_bytes
-            )
-            return spy
+            sink = io.BytesIO()
+            wire.dump_to(sketch, sink, compress=compress)
+            return sink.getvalue()
 
-        encode_time, spy = _time(encode, repeats)
-        frame = spy.getvalue()
+        encode_time, frame = _time(encode, repeats)
 
         def decode():
             reader = SpyStream(frame)
@@ -266,11 +226,9 @@ def bench_chunked_stream(n: int, d: int, chunk_bytes: int, repeats: int) -> dict
         decode_time, (reader, clone) = _time(decode, repeats)
         assert clone.size_in_bits() == payload_bits
         np.testing.assert_array_equal(clone.database.rows, sketch.database.rows)
-        # The memory-bound evidence: no single write or read touches more
-        # than one chunk window, so the full payload is never materialized
-        # on either side of the file boundary.
-        assert spy.max_write <= chunk_bytes, "encode materialized beyond one chunk"
-        assert reader.max_read <= chunk_bytes, "decode materialized beyond one chunk"
+        # The memory-bound evidence: no single read touches more than one
+        # window, so the decoder never materializes the stored payload.
+        assert reader.max_read <= window, "decode materialized beyond one window"
         cases[label] = {
             "frame_bytes": len(frame),
             "stored_over_payload": len(frame) / max(1, (payload_bits + 7) // 8),
@@ -278,7 +236,6 @@ def bench_chunked_stream(n: int, d: int, chunk_bytes: int, repeats: int) -> dict
             "decode_seconds": decode_time,
             "encode_mbits_per_sec": payload_bits / encode_time / 1e6,
             "decode_mbits_per_sec": payload_bits / decode_time / 1e6,
-            "max_single_write": spy.max_write,
             "max_single_read": reader.max_read,
         }
     return {
@@ -286,15 +243,20 @@ def bench_chunked_stream(n: int, d: int, chunk_bytes: int, repeats: int) -> dict
             "n": n,
             "d": d,
             "payload_bits": payload_bits,
-            "chunk_bytes": chunk_bytes,
+            "read_window_bytes": window,
         },
         "cases": cases,
     }
 
 
 def bench_sparse_delta(universe: int, k: int, n_items: int, repeats: int) -> dict:
-    """v2 vs v3 stored payload bytes on sparse counter summaries."""
+    """v2 frames vs one-entry v3 containers: stored payload bytes."""
     import io
+
+    def container(summary) -> bytes:
+        sink = io.BytesIO()
+        wire.write_container(sink, [("", summary)])
+        return sink.getvalue()
 
     from repro.streaming import MisraGries, SpaceSaving, StickySampling
 
@@ -308,8 +270,8 @@ def bench_sparse_delta(universe: int, k: int, n_items: int, repeats: int) -> dic
     cases = {}
     for name, summary in subjects.items():
         summary.update_many(stream)
-        v2_time, v2_frame = _time(lambda s=summary: wire.dump(s, version=2), repeats)
-        v3_time, v3_frame = _time(lambda s=summary: wire.dump(s, version=3), repeats)
+        v2_time, v2_frame = _time(lambda s=summary: wire.dump(s), repeats)
+        v3_time, v3_frame = _time(lambda s=summary: container(s), repeats)
         v2_info = wire.inspect_frame(io.BytesIO(v2_frame))
         v3_info = wire.inspect_frame(io.BytesIO(v3_frame))
         assert v3_info.stored_payload_bytes <= v2_info.stored_payload_bytes, (
@@ -320,7 +282,7 @@ def bench_sparse_delta(universe: int, k: int, n_items: int, repeats: int) -> dic
             f"{name}: charged bits drifted across versions"
         )
         clone = wire.load(v3_frame)
-        assert wire.dump(clone, version=2) == v2_frame, (
+        assert wire.dump(clone) == v2_frame, (
             f"{name}: v3 round trip is not bit-identical"
         )
         cases[name] = {
@@ -414,8 +376,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "bitwriter_payload": bench_bitwriter_payload(15_360, 64, 400, repeats),
             "quantized_answers": bench_quantized_answers(20_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(1024, 16, repeats),
-            "header_overhead": bench_header_overhead(),
-            "chunked_stream": bench_chunked_stream(4096, 24, 1 << 14, repeats),
+            "file_stream": bench_file_stream(24_576, 24, repeats),
             "sparse_delta": bench_sparse_delta(1 << 16, 16, 20_000, repeats),
             "container_ops": bench_container_ops(64, 4096, 64, repeats),
         }
@@ -424,8 +385,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "bitwriter_payload": bench_bitwriter_payload(15_360, 64, 400, repeats),
             "quantized_answers": bench_quantized_answers(100_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(4096, 24, repeats),
-            "header_overhead": bench_header_overhead(),
-            "chunked_stream": bench_chunked_stream(32_768, 32, 1 << 16, repeats),
+            "file_stream": bench_file_stream(32_768, 32, repeats),
             "sparse_delta": bench_sparse_delta(1 << 20, 32, 200_000, repeats),
             "container_ops": bench_container_ops(64, 65_536, 256, repeats),
         }
@@ -459,17 +419,11 @@ def test_serializer_speedup_quick():
     )
     assert tentpole["speedup"] >= MIN_SPEEDUP
     assert record["results"]["quantized_answers"]["speedup"] > 1.0
-    for name, case in record["results"]["header_overhead"]["cases"].items():
+    for label, case in record["results"]["file_stream"]["cases"].items():
         print(
-            f"header_overhead {name}: v1 {case['v1_header_bytes']} B -> "
-            f"v2 {case['v2_header_bytes']} B (saved {case['header_savings_bytes']} B)"
-        )
-        assert case["v2_header_bytes"] < case["v1_header_bytes"]
-    for label, case in record["results"]["chunked_stream"]["cases"].items():
-        print(
-            f"chunked_stream {label}: {case['encode_mbits_per_sec']:.0f} / "
+            f"file_stream {label}: {case['encode_mbits_per_sec']:.0f} / "
             f"{case['decode_mbits_per_sec']:.0f} Mbit/s enc/dec, "
-            f"max write {case['max_single_write']} B"
+            f"max read {case['max_single_read']} B"
         )
     for name, case in record["results"]["sparse_delta"]["cases"].items():
         print(

@@ -10,9 +10,8 @@ Thirteen commands cover the library's everyday entry points:
 * ``mine``        -- mine frequent itemsets from a transaction file,
   exactly or through a sketch;
 * ``sketch``      -- run ``S``: build a sketch of a transaction file and
-  stream its wire-format bit string to disk (``--wire-version`` selects
-  the frame layout, ``--compress`` a zlib v2 payload -- the charged bit
-  count never changes);
+  write its wire-format bit string to disk (``--compress`` stores a zlib
+  payload -- the charged bit count never changes);
 * ``query``       -- run ``Q``: answer an itemset query from a sketch
   file alone, in a separate process from the one that saw the data;
 * ``merge``       -- fold two or more serialized summary shard files
@@ -89,7 +88,6 @@ from .mining import apriori
 from .params import SketchParams
 from .server.protocol import DEFAULT_MAX_FRAME_BYTES, DEFAULT_PORT
 from .streaming.pipeline import SUMMARY_KINDS
-from .wire import SUPPORTED_WIRE_VERSIONS, WIRE_VERSION
 
 __all__ = ["main", "build_parser"]
 
@@ -205,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
              "available, else numpy)",
     )
     sketch.add_argument(
-        "--wire-version", type=int, choices=sorted(SUPPORTED_WIRE_VERSIONS),
-        default=None,
-        help="frame layout version (default: REPRO_WIRE_VERSION env or "
-             f"{WIRE_VERSION})",
-    )
-    sketch.add_argument(
         "--compress", action="store_true",
         help="store a zlib-compressed v2 payload (the charged size_in_bits "
              "is still the uncompressed bit count)",
@@ -271,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument(
         "--seed", type=int, default=0,
         help="seed for the sampling-based merge rules (reservoirs)",
-    )
-    merge.add_argument(
-        "--wire-version", type=int, choices=sorted(SUPPORTED_WIRE_VERSIONS),
-        default=None,
-        help="frame layout version for the merged output (default: "
-             f"REPRO_WIRE_VERSION env or {WIRE_VERSION})",
     )
     merge.add_argument(
         "--compress", action="store_true",
@@ -402,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--out", default=None,
         help="write the final summary as a sketch frame file",
-    )
-    stream.add_argument(
-        "--wire-version", type=int, choices=sorted(SUPPORTED_WIRE_VERSIONS),
-        default=None,
-        help="frame layout version for --out (default: REPRO_WIRE_VERSION "
-             f"env or {WIRE_VERSION})",
     )
     stream.add_argument(
         "--compress", action="store_true",
@@ -561,10 +541,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_frame_file(obj, out_path: str, *, version, compress) -> int:
-    """Stream one frame to ``out_path`` without clobbering it on failure.
+def _write_frame_file(obj, out_path: str, *, compress: bool) -> int:
+    """Write one frame to ``out_path`` without clobbering it on failure.
 
-    The frame is drained into a sibling temp file and renamed over the
+    The frame is written to a sibling temp file and renamed over the
     target only once the encode succeeded, so a failed command never
     truncates a pre-existing good sketch file.  Returns frame bytes.
     """
@@ -575,7 +555,7 @@ def _write_frame_file(obj, out_path: str, *, version, compress) -> int:
     tmp_path = f"{out_path}.tmp"
     try:
         with open(tmp_path, "wb") as stream:
-            frame_bytes = dump_to(obj, stream, version=version, compress=compress)
+            frame_bytes = dump_to(obj, stream, compress=compress)
         os.replace(tmp_path, out_path)
     finally:
         if os.path.exists(tmp_path):
@@ -607,9 +587,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
             n=db.n, d=db.d, k=args.k, epsilon=args.eps, delta=args.delta
         )
         sketch = sketcher.sketch(db, params, rng=args.seed)
-        frame_bytes = _write_frame_file(
-            sketch, args.out, version=args.wire_version, compress=args.compress
-        )
+        frame_bytes = _write_frame_file(sketch, args.out, compress=args.compress)
     except (ReproError, OSError) as exc:
         print(f"cannot sketch {args.path}: {exc}", file=sys.stderr)
         return 1
@@ -760,9 +738,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             for path, stream in opened:
                 if stream.read(1):
                     raise WireFormatError(f"trailing garbage after frame in {path}")
-        frame_bytes = _write_frame_file(
-            merged, args.out, version=args.wire_version, compress=args.compress
-        )
+        frame_bytes = _write_frame_file(merged, args.out, compress=args.compress)
     except (ReproError, OSError) as exc:
         print(f"cannot merge shards: {exc}", file=sys.stderr)
         return 1
@@ -1109,9 +1085,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             began = time.perf_counter()
             summary = pipeline.run(batches)
             elapsed = time.perf_counter() - began
-        frame_bytes = _write_frame_file(
-            summary, args.out, version=args.wire_version, compress=args.compress
-        )
+        frame_bytes = _write_frame_file(summary, args.out, compress=args.compress)
     except (ReproError, OSError) as exc:
         print(f"cannot stream {args.source}: {exc}", file=sys.stderr)
         return 1
@@ -1141,8 +1115,8 @@ def _cmd_push(args: argparse.Namespace) -> int:
         if peek_wire_version(frame) == WIRE_V3:
             reader = ContainerReader.open(io.BytesIO(frame))
             if len(reader) == 1 and reader.entries[0].name == "":
-                # A plain `dump(version=3)` sketch file: one anonymous
-                # frame, pushed like any other frame under the file stem.
+                # A single anonymous frame (an earlier build's v3 sketch
+                # file): pushed like any other frame under the file stem.
                 reader = None
         if reader is not None:
             if args.name is not None:

@@ -146,21 +146,18 @@ class FrequencySketch(ABC):
         measured, not declared.
         """
 
-    def to_bytes(
-        self, *, version: int | None = None, compress: bool = False
-    ) -> bytes:
+    def to_bytes(self, *, compress: bool = False) -> bytes:
         """Serialize to the framed wire format (:mod:`repro.wire`).
 
         The frame's payload is exactly :meth:`size_in_bits` bits; the
         sketch can be reconstructed in another process with
         :meth:`from_bytes` and answers queries bit-identically.
-        ``version`` selects the frame layout (default:
-        :func:`repro.wire.default_wire_version`); ``compress`` stores a
-        zlib payload under v2 -- the charged bit count is unchanged.
+        ``compress`` stores a zlib payload -- the charged bit count is
+        unchanged.
         """
         from ..wire import dump
 
-        return dump(self, version=version, compress=compress)
+        return dump(self, compress=compress)
 
     @staticmethod
     def from_bytes(buf: bytes) -> "FrequencySketch":

@@ -103,16 +103,17 @@ and :class:`~repro.db.serialize.BitReader` are the payload primitives --
 vectorized (whole-chunk numpy appends, one :func:`numpy.packbits` pass,
 batched fixed-width integer fields) and strict on read (byte length must
 match the declared bit count exactly; trailing padding must be zero).
-:mod:`repro.wire` frames payloads for transport (v1 frozen, v2 default)::
+:mod:`repro.wire` frames payloads for transport.  Single frames are
+written as v2 and multi-frame containers as v3; v1 frames and chunked
+v2 frames are decode-only::
 
     v1: magic "IFSK" | 1 | codec id | params | extras JSON | n_bits | payload | crc32
     v2: magic "IFSK" | 2 | codec id | flags | varint params | varint fields
         | n_bits | payload (varint length, or u32 chunks) | crc32
 
-Wire v2 adds zlib payload compression and chunked streaming
-(``dump_to``/``load_from`` over file objects, backed by
-:meth:`~repro.db.serialize.BitWriter.iter_packed` and
-:meth:`~repro.db.serialize.BitReader.windowed`); the *charged* size is
+Wire v2 adds zlib payload compression; ``load_from`` decodes a file
+object windowed, backed by
+:meth:`~repro.db.serialize.BitReader.windowed`.  The *charged* size is
 invariant -- ``n_bits`` is always the uncompressed payload length.
 
 * **Payload vs header** -- the payload carries exactly the bits the

@@ -20,13 +20,11 @@ length must match the declared bit count exactly and the zero padding in the
 final byte must actually be zero, so a frame whose accounting lies about its
 payload is rejected instead of silently accepted.
 
-Both ends are also *stream-first* (the wire-format v2 transport):
-:meth:`BitWriter.iter_packed` / :meth:`BitWriter.flush_to` drain the packed
-payload incrementally in bounded windows (freeing the buffer as they go),
-and :meth:`BitReader.windowed` reads sequentially from an iterator of byte
-chunks holding only one window of unpacked bits at a time -- giant payloads
-cross a file boundary without either side materializing the full byte
-string.
+Decoding is also *stream-first* (the wire-format transport):
+:meth:`BitReader.windowed` reads sequentially from an iterator of byte
+chunks holding only one window of unpacked bits at a time, so a giant
+payload read from a file is never materialized as one byte string.  The
+writer packs once, in :meth:`BitWriter.getvalue`.
 
 The module additionally provides the byte-level varint primitives the v2
 frame header is built from: unsigned LEB128 (:func:`encode_uvarint` /
@@ -63,7 +61,7 @@ __all__ = [
     "zigzag_decode",
 ]
 
-#: Default window size (bytes) for streaming payload drains and reads.
+#: Default window size (bytes) for streaming payload reads.
 DEFAULT_CHUNK_BYTES = 1 << 16
 
 #: LEB128 decode cap: 10 groups cover every 64-bit value with headroom.
@@ -282,11 +280,9 @@ class BitWriter:
     def __init__(self) -> None:
         self._chunks: list[np.ndarray] = []
         self._n_bits = 0
-        self._drained = False
 
     def write_bit(self, bit: bool | int) -> None:
         """Append a single bit."""
-        self._require_not_drained()
         self._chunks.append(np.array([bool(bit)]))
         self._n_bits += 1
 
@@ -296,17 +292,9 @@ class BitWriter:
         The chunk is copied, so callers may reuse or mutate scratch
         buffers after writing without corrupting the payload.
         """
-        self._require_not_drained()
         arr = np.array(bits, dtype=bool, copy=True).reshape(-1)
         self._chunks.append(arr)
         self._n_bits += arr.size
-
-    def _require_not_drained(self) -> None:
-        if self._drained:
-            raise SketchSizeError(
-                "BitWriter already drained by iter_packed/flush_to; "
-                "its payload left in byte-aligned windows"
-            )
 
     def write_uint(self, value: int, width: int) -> None:
         """Append a ``width``-bit unsigned integer, MSB first."""
@@ -346,67 +334,12 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Packed payload (zero padded to a byte boundary)."""
-        self._require_not_drained()
         if not self._n_bits:
             return b""
         if len(self._chunks) > 1:
             # Coalesce so repeated getvalue calls stay cheap.
             self._chunks = [np.concatenate(self._chunks)]
         return np.packbits(self._chunks[0].astype(np.uint8)).tobytes()
-
-    def iter_packed(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Iterator[bytes]:
-        """Yield the packed payload as byte windows, draining the buffer.
-
-        Every window except the last is exactly ``chunk_bytes`` long; the
-        last carries the tail (zero padded to a byte boundary, like
-        :meth:`getvalue`).  Buffered chunks are *consumed* as they are
-        packed, so peak memory is one window rather than the full payload
-        -- this is what lets wire-format v2 stream RELEASE-DB-sized frames
-        through a file object.  After the call the writer is drained:
-        further writes or :meth:`getvalue` raise (the emitted windows are
-        byte aligned, so appending bits would corrupt the stream).
-        ``n_bits`` keeps reporting the total written.
-        """
-        self._require_not_drained()
-        if chunk_bytes < 1:
-            raise SketchSizeError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-        self._drained = True
-        pending: deque[np.ndarray] = deque(self._chunks)
-        self._chunks = []
-
-        def windows() -> Iterator[bytes]:
-            chunk_bits = chunk_bytes * 8
-            buffered: list[np.ndarray] = []
-            buffered_bits = 0
-            while pending:
-                arr = pending.popleft()
-                buffered.append(arr)
-                buffered_bits += arr.size
-                if buffered_bits >= chunk_bits:
-                    run = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-                    n_full = (run.size // chunk_bits) * chunk_bits
-                    packed = np.packbits(run[:n_full].astype(np.uint8)).tobytes()
-                    for start in range(0, len(packed), chunk_bytes):
-                        yield packed[start : start + chunk_bytes]
-                    buffered = [run[n_full:]] if run.size > n_full else []
-                    buffered_bits = run.size - n_full
-            if buffered_bits:
-                tail = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-                yield np.packbits(tail.astype(np.uint8)).tobytes()
-
-        return windows()
-
-    def flush_to(self, stream: IO[bytes], chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
-        """Drain the packed payload into ``stream`` in bounded windows.
-
-        Returns the number of bytes written (``ceil(n_bits / 8)``).  The
-        writer is drained afterwards, exactly as with :meth:`iter_packed`.
-        """
-        written = 0
-        for window in self.iter_packed(chunk_bytes):
-            stream.write(window)
-            written += len(window)
-        return written
 
 
 class BitReader:

@@ -4,7 +4,6 @@ from .harness import (
     empirical_failure_rate,
     grid,
     log_slope,
-    measure_frame_overhead,
     measure_sketch_error,
     measure_sketch_sizes,
 )
@@ -12,7 +11,6 @@ from .registry import EXPERIMENTS, Experiment, experiment_by_id
 from .report import (
     format_series,
     format_table,
-    frame_overhead_columns,
     print_experiment_header,
     size_columns,
 )
@@ -24,12 +22,10 @@ __all__ = [
     "grid",
     "measure_sketch_error",
     "measure_sketch_sizes",
-    "measure_frame_overhead",
     "empirical_failure_rate",
     "log_slope",
     "format_table",
     "format_series",
-    "frame_overhead_columns",
     "print_experiment_header",
     "size_columns",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "grid",
     "measure_sketch_error",
     "measure_sketch_sizes",
-    "measure_frame_overhead",
     "empirical_failure_rate",
     "log_slope",
 ]
@@ -89,8 +88,8 @@ def measure_sketch_sizes(
     ``measured_bits`` is the bit length of the sketch's *serialized wire
     payload* (:func:`repro.wire.payload_size_bits`), not a formula -- the
     number a lower bound is literally a statement about.  The charged
-    size is invariant under transport choices: wire v1 and v2 frames
-    declare the same ``n_bits``, and zlib payload compression shrinks
+    size is invariant under transport choices: every frame layout
+    declares the same ``n_bits``, and zlib payload compression shrinks
     only the stored bytes, never ``size_in_bits`` (lower bounds
     constrain information content, which deflation preserves).  The
     returned row also carries the sketcher's closed-form prediction and
@@ -112,35 +111,6 @@ def measure_sketch_sizes(
         "lower_bound_bits": float(lower),
         "measured_over_theoretical": measured / max(theoretical, 1),
         "measured_over_lower": measured / max(lower, 1.0),
-    }
-
-
-def measure_frame_overhead(obj: Any) -> dict[str, float]:
-    """Per-frame header overhead of one serialized summary, v1 vs v2.
-
-    The payload is version-invariant (``n_bits`` is the charged size
-    either way), so ``frame bytes - ceil(n_bits / 8)`` isolates what the
-    *container* costs: magic, codec id, params block, extras (canonical
-    JSON under v1, binary varint fields under v2), length fields, and
-    the CRC trailer.  This is the constant-factor term that matters when
-    comparing against Price's optimal indicator sketches at small ``k``,
-    where the payload itself is only a few hundred bits.
-    """
-    from ..wire import WIRE_V1, WIRE_V2, dump
-
-    # size_in_bits() == payload n_bits is the registry contract (asserted
-    # by the wire suite), so the payload size comes for free instead of a
-    # third full encode.
-    payload_bytes = (obj.size_in_bits() + 7) // 8
-    v1_bytes = len(dump(obj, version=WIRE_V1))
-    v2_bytes = len(dump(obj, version=WIRE_V2))
-    return {
-        "payload_bytes": float(payload_bytes),
-        "v1_frame_bytes": float(v1_bytes),
-        "v2_frame_bytes": float(v2_bytes),
-        "v1_header_bytes": float(v1_bytes - payload_bytes),
-        "v2_header_bytes": float(v2_bytes - payload_bytes),
-        "header_savings_bytes": float(v1_bytes - v2_bytes),
     }
 
 

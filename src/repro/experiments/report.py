@@ -14,7 +14,6 @@ __all__ = [
     "format_series",
     "print_experiment_header",
     "size_columns",
-    "frame_overhead_columns",
 ]
 
 
@@ -71,23 +70,6 @@ def size_columns(
         "theoretical": int(theoretical_bits),
         "lower": int(round(float(lower_bound_bits))),
         "meas/lower": float(measured_bits) / max(float(lower_bound_bits), 1.0),
-    }
-
-
-def frame_overhead_columns(overhead: Mapping[str, Any]) -> dict[str, Any]:
-    """Per-frame header-overhead columns (v1 vs v2), ordered for tables.
-
-    ``overhead`` is one row from
-    :func:`repro.experiments.harness.measure_frame_overhead`.  ``v1 hdr``
-    and ``v2 hdr`` are frame bytes minus payload bytes -- the container's
-    cost around the charged payload -- and ``saved`` is the v2 win from
-    binary varint headers over v1's length-prefixed JSON extras.
-    """
-    return {
-        "payload B": int(overhead["payload_bytes"]),
-        "v1 hdr": int(overhead["v1_header_bytes"]),
-        "v2 hdr": int(overhead["v2_header_bytes"]),
-        "saved": int(overhead["header_savings_bytes"]),
     }
 
 

@@ -37,16 +37,8 @@ registry's durable twin.  Two files live there:
     ``repro inspect``-able, and recovery walks the trailing manifest and
     splices shards out one at a time (one record resident at once, no
     payload decode until :meth:`~repro.server.registry.SketchRegistry.
-    restore` installs it).  Legacy snapshots from earlier builds --
-
-    .. code-block:: text
-
-        snapshot  := "IFSN" u8(version=1) uvarint(last_seq) uvarint(count) record*
-        record    := u32_be(len(body)) u32_be(crc32(body)) body
-        body      := request_body                    # op = LOAD only
-
-    -- are still read (dispatch is by file magic) but no longer written.
-    Either way snapshots are written to a temp file, ``fsync``'d, and
+    restore` installs it).  A snapshot file that is not a container is
+    refused.  Snapshots are written to a temp file, ``fsync``'d, and
     published with ``os.replace`` -- readers see the old snapshot or the
     new one, never a partial write.
 
@@ -84,7 +76,7 @@ from typing import IO, TYPE_CHECKING
 from ..db.serialize import encode_uvarint, read_uvarint
 from ..errors import PersistenceError, ReproError
 from ..wire import MAGIC as _CONTAINER_MAGIC
-from ..wire import ContainerReader, ContainerWriter
+from ..wire import WIRE_V3, ContainerReader, ContainerWriter, ManifestEntry
 from . import protocol
 from .protocol import DEFAULT_MAX_FRAME_BYTES
 
@@ -111,7 +103,6 @@ WAL_NAME = "wal.log"
 SNAPSHOT_NAME = "snapshot.bin"
 
 _WAL_MAGIC = b"IFWL"
-_SNAPSHOT_MAGIC = b"IFSN"
 _PERSIST_VERSION = 1
 
 #: Auto-compact after this many ops have been appended since the last
@@ -452,6 +443,36 @@ def write_snapshot(
     _fsync_dir(path.parent)
 
 
+def _open_snapshot(
+    stream: IO[bytes], max_record_bytes: int
+) -> tuple[ContainerReader, int]:
+    """Open a snapshot container; returns its reader and ``last_seq``.
+
+    Everything recovery relies on is checked before any shard is read:
+    the file is a wire-v3 container, its meta carries the ``last_seq``
+    watermark, and every shard is named.
+    """
+    if stream.read(len(_CONTAINER_MAGIC) + 1) != _CONTAINER_MAGIC + bytes([WIRE_V3]):
+        raise PersistenceError(f"snapshot {stream.name} is not a wire-v3 container")
+    try:
+        reader = ContainerReader.open(stream, max_bytes=max_record_bytes)
+    except ReproError as exc:
+        raise PersistenceError(f"invalid container snapshot: {exc}") from exc
+    last_seq = reader.meta.get("last_seq")
+    if not isinstance(last_seq, int) or isinstance(last_seq, bool) or last_seq < 0:
+        raise PersistenceError("container snapshot is missing its last_seq watermark")
+    if any(not entry.name for entry in reader.entries):
+        raise PersistenceError("container snapshot holds an anonymous shard")
+    return reader, last_seq
+
+
+def _extract(reader: ContainerReader, entry: ManifestEntry) -> bytes:
+    try:
+        return reader.extract(entry)
+    except ReproError as exc:
+        raise PersistenceError(f"invalid container snapshot: {exc}") from exc
+
+
 def read_snapshot(
     path: str | os.PathLike[str],
     *,
@@ -459,60 +480,16 @@ def read_snapshot(
 ) -> tuple[list[tuple[str, bytes]], int]:
     """Read a snapshot back as ``([(name, frame), ...], last_seq)``.
 
-    Dispatches by file magic: a wire-v3 container snapshot yields each
-    manifested shard as a standalone single-frame container (directly
+    Each manifested shard comes back as a standalone single-frame
+    container (directly
     :meth:`~repro.server.registry.SketchRegistry.restore`-able, no
-    payload decode here); a legacy ``IFSN`` snapshot yields its verbatim
-    LOAD frames.  Snapshots are only ever published whole, so *every*
-    defect -- including truncation -- raises :class:`PersistenceError`.
+    payload decode here).  Snapshots are only ever published whole, so
+    *every* defect -- including truncation, and a file that is not a
+    container at all -- raises :class:`PersistenceError`.
     """
-    data = Path(path).read_bytes()
-    if data[: len(_CONTAINER_MAGIC)] == _CONTAINER_MAGIC:
-        try:
-            reader = ContainerReader.open(io.BytesIO(data), max_bytes=max_record_bytes)
-            last_seq = reader.meta.get("last_seq")
-            if not isinstance(last_seq, int) or isinstance(last_seq, bool) or last_seq < 0:
-                raise PersistenceError(
-                    "container snapshot is missing its last_seq watermark"
-                )
-            container_entries: list[tuple[str, bytes]] = []
-            for entry in reader.entries:
-                if not entry.name:
-                    raise PersistenceError(
-                        "container snapshot holds an anonymous shard"
-                    )
-                container_entries.append((entry.name, reader.extract(entry)))
-        except PersistenceError:
-            raise
-        except ReproError as exc:
-            raise PersistenceError(f"invalid container snapshot: {exc}") from exc
-        return container_entries, last_seq
-    stream = io.BytesIO(data)
-    _check_header(stream, _SNAPSHOT_MAGIC, "snapshot")
-    try:
-        last_seq = read_uvarint(stream)
-        count = read_uvarint(stream)
-    except ReproError as exc:
-        raise PersistenceError(f"invalid snapshot header varint: {exc}") from exc
-    entries: list[tuple[str, bytes]] = []
-    for index in range(count):
-        body = read_record(stream, max_bytes=max_record_bytes)
-        if body is None:
-            raise PersistenceError(
-                f"snapshot ends after {index} of {count} declared entries"
-            )
-        try:
-            request = protocol.parse_request(body)
-        except ReproError as exc:
-            raise PersistenceError(f"invalid snapshot entry {index}: {exc}") from exc
-        if request.op != protocol.OP_LOAD:
-            raise PersistenceError(
-                f"snapshot entry {index} has op {request.op}, expected LOAD"
-            )
-        assert request.name is not None
-        entries.append((request.name, request.frame))
-    if stream.read(1):
-        raise PersistenceError("trailing bytes after the last snapshot entry")
+    with open(path, "rb") as stream:
+        reader, last_seq = _open_snapshot(stream, max_record_bytes)
+        entries = [(entry.name, _extract(reader, entry)) for entry in reader.entries]
     return entries, last_seq
 
 
@@ -603,22 +580,7 @@ class PersistentStore:
         snapshot_count = 0
         snapshot_seq = 0
         if self.snapshot_path.exists():
-            with open(self.snapshot_path, "rb") as head:
-                magic = head.read(len(_CONTAINER_MAGIC))
-            if magic == _CONTAINER_MAGIC:
-                snapshot_count, snapshot_seq = self._recover_container_snapshot(
-                    registry
-                )
-            else:
-                entries, snapshot_seq = read_snapshot(
-                    self.snapshot_path,
-                    max_record_bytes=self.max_frame_bytes + _RECORD_SLACK,
-                )
-                snapshot_count = len(entries)
-                for name, frame in entries:
-                    self._apply(registry, protocol.Request(
-                        op=protocol.OP_LOAD, name=name, frame=frame
-                    ), where=f"snapshot entry {name!r}")
+            snapshot_count, snapshot_seq = self._recover_snapshot(registry)
         scan = self._wal.scan()
         replayed = 0
         for record in scan.records:
@@ -644,10 +606,8 @@ class PersistentStore:
             torn_tail=scan.torn_tail,
         )
 
-    def _recover_container_snapshot(
-        self, registry: "SketchRegistry"
-    ) -> tuple[int, int]:
-        """Lazy manifest-driven replay of a container-format snapshot.
+    def _recover_snapshot(self, registry: "SketchRegistry") -> tuple[int, int]:
+        """Lazy manifest-driven replay of the snapshot container.
 
         Opens the container (O(header + manifest) bytes), then seeks to
         one record at a time: each shard is spliced out verbatim and
@@ -656,37 +616,17 @@ class PersistentStore:
         the decoding registry -- never the whole snapshot.
         """
         with open(self.snapshot_path, "rb") as stream:
-            try:
-                reader = ContainerReader.open(
-                    stream, max_bytes=self.max_frame_bytes + _RECORD_SLACK
-                )
-                last_seq = reader.meta.get("last_seq")
-                if (
-                    not isinstance(last_seq, int)
-                    or isinstance(last_seq, bool)
-                    or last_seq < 0
-                ):
+            reader, last_seq = _open_snapshot(
+                stream, self.max_frame_bytes + _RECORD_SLACK
+            )
+            for entry in reader.entries:
+                frame = _extract(reader, entry)
+                try:
+                    registry.restore(entry.name, frame)
+                except ReproError as exc:
                     raise PersistenceError(
-                        "container snapshot is missing its last_seq watermark"
-                    )
-                for entry in reader.entries:
-                    if not entry.name:
-                        raise PersistenceError(
-                            "container snapshot holds an anonymous shard"
-                        )
-                    frame = reader.extract(entry)
-                    try:
-                        registry.restore(entry.name, frame)
-                    except ReproError as exc:
-                        raise PersistenceError(
-                            f"cannot replay snapshot entry {entry.name!r}: {exc}"
-                        ) from exc
-            except PersistenceError:
-                raise
-            except ReproError as exc:
-                raise PersistenceError(
-                    f"invalid container snapshot: {exc}"
-                ) from exc
+                        f"cannot replay snapshot entry {entry.name!r}: {exc}"
+                    ) from exc
         return len(reader.entries), last_seq
 
     @staticmethod

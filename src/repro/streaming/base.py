@@ -212,20 +212,18 @@ class StreamSummary(ABC):
         length of the payload :meth:`to_bytes` frames.
         """
 
-    def to_bytes(
-        self, *, version: int | None = None, compress: bool = False
-    ) -> bytes:
+    def to_bytes(self, *, compress: bool = False) -> bytes:
         """Serialize to the framed wire format (:mod:`repro.wire`).
 
         This is the distributed-ingest transport: summaries built where
         the data lives are dumped, shipped, reconstructed with
         :meth:`from_bytes`, and merged via :mod:`repro.streaming.merge`.
-        ``version``/``compress`` select the frame layout; the charged
-        bit count is unchanged by compression.
+        ``compress`` stores a zlib payload; the charged bit count is
+        unchanged by compression.
         """
         from ..wire import dump
 
-        return dump(self, version=version, compress=compress)
+        return dump(self, compress=compress)
 
     @staticmethod
     def from_bytes(buf: bytes) -> "StreamSummary":

@@ -176,13 +176,11 @@ class StreamingItemsetMiner:
         id_bits = self.max_size * max(1, math.ceil(math.log2(max(self.d, 2))))
         return max(1, self.n_entries()) * (id_bits + 2 * COUNT_BITS)
 
-    def to_bytes(
-        self, *, version: int | None = None, compress: bool = False
-    ) -> bytes:
+    def to_bytes(self, *, compress: bool = False) -> bytes:
         """Serialize the tracked entries (:mod:`repro.wire` frame)."""
         from ..wire import dump
 
-        return dump(self, version=version, compress=compress)
+        return dump(self, compress=compress)
 
     @staticmethod
     def from_bytes(buf: bytes) -> "StreamingItemsetMiner":

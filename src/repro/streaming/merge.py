@@ -336,8 +336,8 @@ def merge_payloads(
     lazily.  Shards are decoded with :func:`repro.wire.load` /
     :func:`repro.wire.load_from` one at a time and folded left-to-right
     by the matching merge rule, so a fleet of shard files merges while
-    holding at most one undecoded frame (and chunked v2 frames stream
-    straight out of their files without materializing).  A shard holding
+    holding at most one undecoded frame (and v2 frames stream straight
+    out of their files without materializing).  A shard holding
     a wire-v3 *container* (``repro pack`` output) contributes each of
     its frames in container order under the same bound, decoded
     sequentially via :func:`repro.wire.iter_container_objects` -- a

@@ -151,9 +151,7 @@ class RowReservoir:
         """
         return self.size * self.d + COUNT_BITS
 
-    def to_bytes(
-        self, *, version: int | None = None, compress: bool = False
-    ) -> bytes:
+    def to_bytes(self, *, compress: bool = False) -> bytes:
         """Serialize the reservoir shard (:mod:`repro.wire` frame).
 
         The distributed SUBSAMPLE transport: dump a shard where the rows
@@ -162,7 +160,7 @@ class RowReservoir:
         """
         from ..wire import dump
 
-        return dump(self, version=version, compress=compress)
+        return dump(self, compress=compress)
 
     @staticmethod
     def from_bytes(buf: bytes) -> "RowReservoir":

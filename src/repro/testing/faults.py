@@ -184,10 +184,10 @@ class FaultyProxy:
         """Stop accepting and tear down every live relay (idempotent)."""
         self._closing = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # Shutdown before close: a bare close() from this thread does
+            # not wake the accept() blocked on the listener in the accept
+            # thread, which would leave the join below to time out.
+            _shutdown_quietly(self._listener)
         with self._lock:
             sockets = list(self._open_sockets)
         for sock in sockets:

@@ -10,15 +10,16 @@ length *is* the size the lower bounds are compared against: for every
 registered codec, ``obj.size_in_bits() == n_bits`` of the encoded payload,
 exactly.
 
-Three frame versions are in service.  Version 1 (the original container)
-is frozen: every committed v1 frame decodes bit-identically forever, and
-:func:`encode_frame` still emits byte-identical v1 frames on request.
-Version 2 is the default frame layout (frozen behind golden fixtures):
-binary varint headers, optional zlib payload compression, and chunked
-payloads that stream through file objects.  Version 3 is a *multi-frame
-container*: many named shards in one file behind a trailing manifest, so
-encoding streams in one pass and decoding can seek straight to one shard
-without touching the rest.
+Each wire format has exactly one writer.  Single frames are written as
+version 2 (:func:`dump`, :func:`dump_to`, :func:`encode_frame`): binary
+varint headers and an optional zlib payload.  Multi-frame containers are
+written as version 3 (:class:`ContainerWriter`, :func:`write_container`):
+many named shards in one file behind a trailing manifest, so encoding
+streams in one pass and decoding can seek straight to one shard without
+touching the rest.  Version 1 frames and chunked version 2 frames are
+*decode-only*: every frame an earlier build wrote still decodes
+bit-identically (the golden fixtures pin this), but nothing writes those
+layouts any more.
 
 Version 1 layout (all multi-byte header fields big-endian)::
 
@@ -48,7 +49,7 @@ LEB128; fixed-width fields big-endian)::
     n_bits     varint    exact *uncompressed* payload length in bits
     payload    not CHUNKED: varint stored byte length, then the bytes
                CHUNKED:     repeated [u32 length, chunk bytes], ended by
-                            a u32 zero sentinel
+                            a u32 zero sentinel (decode-only)
     crc32      u32       running CRC-32 of every preceding byte
 
 When ZLIB is set the stored payload bytes are a zlib stream whose
@@ -103,13 +104,14 @@ O(header + manifest + that record) bytes.  :func:`iter_container_frames`
 / :func:`iter_container_objects` are the sequential one-pass siblings
 (sockets, pipes) holding at most one undecoded frame, and
 :func:`inspect_container` skims structure and CRCs without decoding any
-payload.  A *single anonymous frame* wrapped in a container is how v3
-flows through every frame-shaped channel (``dump(version=3)``, a socket
-LOAD body, a WAL record): :func:`read_frame` / :func:`load` accept
-exactly that shape and refuse multi-frame containers, which go through
-the container entry points.  The server's persistence snapshot is an
-ordinary v3 container whose meta carries the journal watermark, so
-``repro compact`` output is directly ``repro push``-able.
+payload.  A *single-frame container* -- what
+:meth:`ContainerReader.extract` splices out of a fleet -- flows through
+every frame-shaped channel (a sketch file, a socket LOAD body):
+:func:`read_frame` / :func:`load` accept exactly that shape and refuse
+multi-frame containers, which go through the container entry points.
+The server's persistence snapshot is an ordinary v3 container whose
+meta carries the journal watermark, so ``repro compact`` output is
+directly ``repro push``-able.
 
 The *payload* carries exactly the bits the sketch's size accounting
 charges; the header carries only public parameters (shapes, universe
@@ -119,15 +121,13 @@ metadata, not payload.  Decoding is strict: bad magic, unknown codec or
 version, truncated or oversized buffers, checksum mismatches, misdeclared
 bit counts, and nonzero padding all raise
 :class:`~repro.errors.WireFormatError`.  :func:`decode_frame`,
-:func:`read_frame`, and :func:`load` dispatch by the version byte, so both
-generations decode through one entry point.
+:func:`read_frame`, and :func:`load` dispatch by the version byte, so
+every generation decodes through one entry point.
 
-Chunked v2 frames are stream-first end to end: :func:`dump_to` drains the
-payload through :meth:`~repro.db.serialize.BitWriter.iter_packed` in
-bounded windows (never materializing the packed byte string), and
-:func:`load_from` hands codecs a windowed
-:meth:`~repro.db.serialize.BitReader.windowed` that pulls chunks from the
-file as bits are consumed, verifying the running CRC when the final chunk
+Decoding is stream-first: :func:`load_from` hands codecs a windowed
+:meth:`~repro.db.serialize.BitReader.windowed` that pulls the stored
+payload (plain, zlib, or chunked) from the file in bounded windows as
+bits are consumed, verifying the running CRC when the final window
 arrives.  :func:`inspect_frame` reads the header (and checks the CRC by
 skimming) without decoding the payload at all.
 
@@ -136,16 +136,15 @@ Codecs are registered per *sketcher name* (``release-db``, ``subsample``,
 :class:`~repro.core.hybrid.BestOfNaiveSketcher` -- whose output is always
 one of the three naive sketch types -- round-trips through whichever codec
 matches the sketch it actually built.  Every codec encodes into and
-decodes from a single :class:`Header` builder (typed fields, one
-serialization of both the v1 JSON block and the v2 binary fields) instead
-of hand-rolling extras dicts.
+decodes from a single :class:`Header` builder (typed fields, written as
+v2 binary fields and read back from those or from a v1 JSON block)
+instead of hand-rolling extras dicts.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import struct
 import zlib
 from abc import ABC, abstractmethod
@@ -188,11 +187,8 @@ __all__ = [
     "WIRE_V1",
     "WIRE_V2",
     "WIRE_V3",
-    "WIRE_VERSION",
     "SUPPORTED_WIRE_VERSIONS",
-    "WIRE_VERSION_ENV",
     "DEFAULT_CHUNK_BYTES",
-    "default_wire_version",
     "peek_wire_version",
     "Header",
     "Frame",
@@ -225,11 +221,9 @@ MAGIC = b"IFSK"
 WIRE_V1 = 1
 WIRE_V2 = 2
 WIRE_V3 = 3
+#: Every version this build decodes; it writes single frames as v2 and
+#: containers as v3.
 SUPPORTED_WIRE_VERSIONS = (WIRE_V1, WIRE_V2, WIRE_V3)
-#: The current default frame version for new encodes.
-WIRE_VERSION = WIRE_V2
-#: Environment override for the default (the CI compat leg sets it to 1).
-WIRE_VERSION_ENV = "REPRO_WIRE_VERSION"
 
 _PARAMS_STRUCT = struct.Struct(">QIIdd")
 
@@ -259,31 +253,6 @@ _FIELD_STR = 3
 _MAX_HEADER_FIELDS = 1024
 
 
-def default_wire_version() -> int:
-    """The frame version new encodes use when none is requested.
-
-    :data:`WIRE_VERSION` (currently 2) unless the
-    :data:`WIRE_VERSION_ENV` environment variable selects a supported
-    version explicitly -- the hook the forced-v1 CI compatibility leg
-    uses.
-    """
-    raw = os.environ.get(WIRE_VERSION_ENV)
-    if raw is None:
-        return WIRE_VERSION
-    try:
-        version = int(raw)
-    except ValueError:
-        raise WireFormatError(
-            f"{WIRE_VERSION_ENV}={raw!r} is not a wire version number"
-        ) from None
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise WireFormatError(
-            f"{WIRE_VERSION_ENV}={version} unsupported "
-            f"(this build writes {SUPPORTED_WIRE_VERSIONS})"
-        )
-    return version
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise WireFormatError(message)
@@ -297,12 +266,12 @@ class Header:
 
     On encode a codec fills the builder -- :meth:`set_params` for the
     public :class:`SketchParams` block, :meth:`set` for typed metadata
-    fields -- and the frame writer serializes it once (canonical JSON
-    under v1, binary varint fields under v2).  On decode the codec reads
-    the same fields back through the typed getters, every failure
-    surfacing as :class:`WireFormatError`.  Field values are restricted
-    to the scalar types both serializations carry losslessly: ``bool``,
-    ``int``, ``float``, ``str``.
+    fields -- and the frame writer serializes it once as binary varint
+    fields.  On decode the codec reads the same fields back through the
+    typed getters (whether they came from v2/v3 binary fields or a v1
+    JSON block), every failure surfacing as :class:`WireFormatError`.
+    Field values are restricted to the scalar types both serializations
+    carry losslessly: ``bool``, ``int``, ``float``, ``str``.
     """
 
     __slots__ = ("params", "_fields")
@@ -553,7 +522,10 @@ class _CrcReader:
     the stream.  The budget is checked *before* each read, so a frame
     that declares an oversized section (a 4 GiB chunk, a giant header
     string) is rejected without ever attempting the allocation -- the
-    guard a socket server needs against hostile peers.
+    guard a socket server needs against hostile peers.  Without a
+    budget, each stream read still asks for at most
+    :data:`DEFAULT_CHUNK_BYTES`, so such a frame fails as truncated once
+    the stream runs dry instead of requesting the declared size at once.
     """
 
     __slots__ = ("_stream", "crc", "count", "_max_bytes")
@@ -577,7 +549,7 @@ class _CrcReader:
         parts: list[bytes] = []
         got = 0
         while got < n:
-            data = self._stream.read(n - got)
+            data = self._stream.read(min(n - got, DEFAULT_CHUNK_BYTES))
             if not data:
                 raise WireFormatError(
                     f"truncated frame: wanted {n} bytes, got {got}"
@@ -624,33 +596,8 @@ def _validate_codec_name(codec: str) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Version 1: frozen encode (byte-identical forever) and stream decode.
+# Version 1: decode only (every committed v1 frame decodes forever).
 # ----------------------------------------------------------------------
-def _encode_frame_v1(
-    codec: str,
-    params: SketchParams | None,
-    extras: Mapping[str, Any],
-    payload: bytes,
-    n_bits: int,
-) -> bytes:
-    name = _validate_codec_name(codec)
-    parts = [MAGIC, bytes([WIRE_V1]), bytes([len(name)]), name]
-    if params is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01")
-        parts.append(
-            _PARAMS_STRUCT.pack(params.n, params.d, params.k, params.epsilon, params.delta)
-        )
-    blob = json.dumps(dict(extras), sort_keys=True, separators=(",", ":")).encode()
-    parts.append(struct.pack(">I", len(blob)))
-    parts.append(blob)
-    parts.append(struct.pack(">Q", n_bits))
-    parts.append(payload)
-    body = b"".join(parts)
-    return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
-
-
 def _read_header_v1(reader: _CrcReader) -> tuple[str, Header, int]:
     """Parse a v1 frame through its ``n_bits`` field (magic/version done)."""
     name_len = reader.read(1)[0]
@@ -688,19 +635,8 @@ def _read_frame_v1(reader: _CrcReader) -> Frame:
 
 
 # ----------------------------------------------------------------------
-# Version 2: varint binary header, optional zlib, chunked streaming.
+# Version 2: varint binary header, optional zlib; chunked is decode-only.
 # ----------------------------------------------------------------------
-def _deflate(chunks: Iterable[bytes], level: int = 6) -> Iterator[bytes]:
-    deflater = zlib.compressobj(level)
-    for chunk in chunks:
-        out = deflater.compress(chunk)
-        if out:
-            yield out
-    tail = deflater.flush()
-    if tail:
-        yield tail
-
-
 def _inflate(
     chunks: Iterable[bytes], window: int = DEFAULT_CHUNK_BYTES
 ) -> Iterator[bytes]:
@@ -810,65 +746,6 @@ def _write_fields(writer: _CrcWriter, fields: Mapping[str, Any]) -> None:
             raise WireFormatError(
                 f"header field {key!r} has unsupported type {type(value).__name__}"
             )
-
-
-def _write_header_v2(
-    writer: _CrcWriter,
-    name: bytes,
-    params: SketchParams | None,
-    fields: Mapping[str, Any],
-    n_bits: int,
-    *,
-    compress: bool,
-    chunked: bool,
-) -> None:
-    flags = (
-        (_FLAG_PARAMS if params is not None else 0)
-        | (_FLAG_ZLIB if compress else 0)
-        | (_FLAG_CHUNKED if chunked else 0)
-    )
-    writer.write(MAGIC)
-    writer.write(bytes([WIRE_V2, len(name)]))
-    writer.write(name)
-    writer.write(bytes([flags]))
-    if params is not None:
-        _write_params_block(writer, params)
-    _write_fields(writer, fields)
-    writer.write(encode_uvarint(n_bits))
-
-
-def _write_frame_v2(
-    stream: IO[bytes],
-    codec: str,
-    params: SketchParams | None,
-    fields: Mapping[str, Any],
-    payload_chunks: Iterable[bytes],
-    n_bits: int,
-    *,
-    compress: bool,
-    chunked: bool,
-) -> int:
-    name = _validate_codec_name(codec)
-    writer = _CrcWriter(stream)
-    _write_header_v2(
-        writer, name, params, fields, n_bits, compress=compress, chunked=chunked
-    )
-    source: Iterable[bytes] = payload_chunks
-    if compress:
-        source = _deflate(source)
-    if chunked:
-        for chunk in source:
-            if not chunk:
-                continue
-            writer.write(struct.pack(">I", len(chunk)))
-            writer.write(chunk)
-        writer.write(struct.pack(">I", 0))
-    else:
-        data = b"".join(source)
-        writer.write(encode_uvarint(len(data)))
-        writer.write(data)
-    writer.write_raw(struct.pack(">I", writer.crc))
-    return writer.count
 
 
 def _read_params_block(reader: _CrcReader) -> SketchParams:
@@ -1228,10 +1105,10 @@ class ContainerWriter:
     dictionary up front (default: every registered codec, so arbitrary
     mixes can be added incrementally).
 
-    ``compress``/``delta`` choose the default stored-payload transforms;
-    per-frame overrides go through :meth:`add`.  Either way the *charged*
-    ``n_bits`` written per record is exactly the codec's payload bit
-    count -- transforms are transport thrift, never accounting thrift.
+    ``compress``/``delta`` choose the stored-payload transforms of every
+    record.  Either way the *charged* ``n_bits`` written per record is
+    exactly the codec's payload bit count -- transforms are transport
+    thrift, never accounting thrift.
     """
 
     def __init__(
@@ -1279,10 +1156,6 @@ class ContainerWriter:
             self.close()
 
     @property
-    def bytes_written(self) -> int:
-        return self._count
-
-    @property
     def entries(self) -> tuple[ManifestEntry, ...]:
         return tuple(self._entries)
 
@@ -1296,59 +1169,30 @@ class ContainerWriter:
                 raise WireFormatError(f"duplicate shard name {name!r} in container")
             self._names.add(name)
 
-    def add(
-        self,
-        name: str,
-        obj: Any,
-        *,
-        compress: bool | None = None,
-        delta: bool | None = None,
-    ) -> ManifestEntry:
+    def add(self, name: str, obj: Any) -> ManifestEntry:
         """Encode one summary as the next frame record."""
-        codec = codec_for(obj)
-        header = Header()
-        buf, n_bits = _encoded_payload(codec.encode(obj, header))
-        return self._add_encoded(
-            name,
-            codec.name,
-            header.params,
-            header.fields,
-            buf,
-            n_bits,
-            compress=self._compress if compress is None else compress,
-            delta=self._delta if delta is None else delta,
-        )
-
-    def _add_encoded(
-        self,
-        name: str,
-        codec_name: str,
-        params: SketchParams | None,
-        fields: Mapping[str, Any],
-        payload: bytes,
-        n_bits: int,
-        *,
-        compress: bool,
-        delta: bool,
-    ) -> ManifestEntry:
         self._require_open()
         _validate_shard_name(name)
         if len(self._entries) >= _MAX_CONTAINER_ENTRIES:
             raise WireFormatError(f"container exceeds {_MAX_CONTAINER_ENTRIES} frames")
-        index = self._index.get(codec_name)
+        codec = codec_for(obj)
+        index = self._index.get(codec.name)
         if index is None:
             raise WireFormatError(
-                f"codec {codec_name!r} is not in this container's codec table"
+                f"codec {codec.name!r} is not in this container's codec table"
             )
+        header = Header()
+        payload, n_bits = _encoded_payload(codec.encode(obj, header))
         if len(payload) != (n_bits + 7) // 8:
             raise WireFormatError(
                 f"payload of {len(payload)} bytes disagrees with {n_bits} bits"
             )
         self._claim_name(name)
         record, crc = _encode_record_v3(
-            index, params, fields, payload, n_bits, compress=compress, delta=delta
+            index, header.params, header.fields, payload, n_bits,
+            compress=self._compress, delta=self._delta,
         )
-        return self._append_record(name, codec_name, index, record, n_bits, crc)
+        return self._append_record(name, codec.name, index, record, n_bits, crc)
 
     def add_record(
         self, name: str, codec_name: str, record: bytes, n_bits: int, crc: int
@@ -1423,7 +1267,6 @@ class ContainerWriter:
         self._stream.write(offset_bytes)
         self._stream.write(struct.pack(">I", zlib.crc32(offset_bytes) & 0xFFFFFFFF))
         self._stream.write(_CONTAINER_END)
-        self._count = manifest_offset + writer.count + _FOOTER_BYTES
         return tuple(self._entries)
 
 
@@ -1853,10 +1696,10 @@ def peek_wire_version(data: bytes) -> int | None:
 def _read_frame_v3_single(reader: _CrcReader) -> Frame:
     """A v3 container holding exactly one frame, through ``read_frame``.
 
-    Single-frame containers are how v3 flows through every frame-shaped
-    channel unchanged (``dump(version=3)``, a socket ``LOAD`` body, a WAL
-    record).  Zero frames or more than one raise -- multi-frame
-    containers go through :class:`ContainerReader` or
+    Single-frame containers (:meth:`ContainerReader.extract` output) flow
+    through every frame-shaped channel unchanged: a sketch file, a socket
+    ``LOAD`` body, a WAL record.  Zero frames or more than one raise --
+    multi-frame containers go through :class:`ContainerReader` or
     :func:`iter_container_frames`.
     """
     _, codecs = _read_container_head(reader)
@@ -1976,52 +1819,37 @@ def encode_frame(
     payload: bytes,
     n_bits: int,
     *,
-    version: int | None = None,
     compress: bool = False,
 ) -> bytes:
-    """Assemble the framed byte string for one serialized summary.
+    """Assemble the v2 frame for one serialized summary.
 
-    ``version`` selects the layout (default: :func:`default_wire_version`).
-    v1 output is byte-identical to every frame PR 3 ever committed.
-    ``compress`` (v2 only) stores the payload as a zlib stream; the
-    declared ``n_bits`` -- the charged size -- is unchanged.
+    This is the only single-frame writer.  ``compress`` stores the
+    payload as a zlib stream; the declared ``n_bits`` -- the charged
+    size -- is unchanged.
     """
-    if version is None:
-        version = default_wire_version()
-    _validate_codec_name(codec)
+    name = _validate_codec_name(codec)
     if len(payload) != (n_bits + 7) // 8:
         raise WireFormatError(
             f"payload of {len(payload)} bytes disagrees with {n_bits} bits"
         )
-    if version == WIRE_V1:
-        if compress:
-            raise WireFormatError("wire v1 frames cannot be compressed")
-        return _encode_frame_v1(codec, params, extras, payload, n_bits)
-    if version == WIRE_V2:
-        out = io.BytesIO()
-        _write_frame_v2(
-            out,
-            codec,
-            params,
-            extras,
-            (payload,) if payload else (),
-            n_bits,
-            compress=compress,
-            chunked=False,
-        )
-        return out.getvalue()
-    if version == WIRE_V3:
-        out = io.BytesIO()
-        writer = ContainerWriter(out, codecs=(codec,))
-        writer._add_encoded(
-            "", codec, params, extras, payload, n_bits,
-            compress=compress, delta=True,
-        )
-        writer.close()
-        return out.getvalue()
-    raise WireFormatError(
-        f"unsupported wire version {version} (this build writes {SUPPORTED_WIRE_VERSIONS})"
+    flags = (_FLAG_PARAMS if params is not None else 0) | (
+        _FLAG_ZLIB if compress else 0
     )
+    stored = zlib.compress(payload, 6) if compress else payload
+    out = io.BytesIO()
+    writer = _CrcWriter(out)
+    writer.write(MAGIC)
+    writer.write(bytes([WIRE_V2, len(name)]))
+    writer.write(name)
+    writer.write(bytes([flags]))
+    if params is not None:
+        _write_params_block(writer, params)
+    _write_fields(writer, extras)
+    writer.write(encode_uvarint(n_bits))
+    writer.write(encode_uvarint(len(stored)))
+    writer.write(stored)
+    writer.write_raw(struct.pack(">I", writer.crc))
+    return out.getvalue()
 
 
 def read_frame(stream: IO[bytes], *, max_bytes: int | None = None) -> Frame:
@@ -2148,8 +1976,9 @@ class SketchCodec(ABC):
     :class:`Header` builder with the summary's public metadata and
     returns only the payload, and :meth:`decode` reads the same fields
     back through the header's typed getters.  One header implementation
-    therefore serves both frame generations (JSON under v1, binary
-    varint fields under v2) for all registered codecs.
+    therefore serves every frame generation (written as binary varint
+    fields, read from those or from v1's JSON block) for all registered
+    codecs.
     """
 
     #: Registry key; matches the producing sketcher's ``name`` where one exists.
@@ -2161,10 +1990,9 @@ class SketchCodec(ABC):
     def encode(self, obj: Any, header: Header) -> BitWriter | tuple[bytes, int]:
         """Fill ``header`` and serialize ``obj``'s payload.
 
-        The payload is either a :class:`BitWriter` to be packed (or
-        drained to a stream), or -- for summaries that already hold their
-        canonical packed payload -- a ``(payload_bytes, n_bits)`` pair
-        passed through verbatim.
+        The payload is either a :class:`BitWriter` to be packed, or --
+        for summaries that already hold their canonical packed payload --
+        a ``(payload_bytes, n_bits)`` pair passed through verbatim.
         """
 
     @abstractmethod
@@ -2212,103 +2040,25 @@ def _encoded_payload(payload: BitWriter | tuple[bytes, int]) -> tuple[bytes, int
     return payload
 
 
-def dump(obj: Any, *, version: int | None = None, compress: bool = False) -> bytes:
+def dump(obj: Any, *, compress: bool = False) -> bytes:
     """Serialize a sketch or streaming summary to its framed bit string.
 
-    ``version`` selects the frame layout (default
-    :func:`default_wire_version`); ``compress`` stores a zlib payload
-    under v2 while the charged ``n_bits`` stays the uncompressed count.
+    The frame is plain v2; ``compress`` stores a zlib payload while the
+    charged ``n_bits`` stays the uncompressed count.
     """
     codec = codec_for(obj)
     header = Header()
-    payload = codec.encode(obj, header)
-    buf, n_bits = _encoded_payload(payload)
+    buf, n_bits = _encoded_payload(codec.encode(obj, header))
     return encode_frame(
-        codec.name, header.params, header.fields, buf, n_bits,
-        version=version, compress=compress,
+        codec.name, header.params, header.fields, buf, n_bits, compress=compress
     )
 
 
-def dump_to(
-    obj: Any,
-    stream: IO[bytes],
-    *,
-    version: int | None = None,
-    compress: bool = False,
-    chunked: bool | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> int:
-    """Serialize straight into a binary stream; returns bytes written.
-
-    Under v2 the payload is drained in ``chunk_bytes`` windows
-    (:meth:`BitWriter.iter_packed`), so the full packed byte string is
-    never materialized.  ``chunked=None`` picks the layout automatically:
-    chunked frames whenever the payload is compressed (its stored length
-    is unknown up front) or larger than one window, the compact
-    varint-length layout otherwise.
-    """
-    if version is None:
-        version = default_wire_version()
-    codec = codec_for(obj)
-    header = Header()
-    payload = codec.encode(obj, header)
-    if version == WIRE_V1:
-        if compress or chunked:
-            raise WireFormatError("wire v1 frames are neither compressed nor chunked")
-        buf, n_bits = _encoded_payload(payload)
-        if len(buf) != (n_bits + 7) // 8:
-            raise WireFormatError(
-                f"payload of {len(buf)} bytes disagrees with {n_bits} bits"
-            )
-        data = _encode_frame_v1(codec.name, header.params, header.fields, buf, n_bits)
-        stream.write(data)
-        return len(data)
-    if version == WIRE_V3:
-        if chunked:
-            raise WireFormatError(
-                "wire v3 records are not chunked; containers stream whole records"
-            )
-        buf, n_bits = _encoded_payload(payload)
-        writer = ContainerWriter(stream, codecs=(codec.name,))
-        writer._add_encoded(
-            "", codec.name, header.params, header.fields, buf, n_bits,
-            compress=compress, delta=True,
-        )
-        writer.close()
-        return writer.bytes_written
-    if version != WIRE_V2:
-        raise WireFormatError(
-            f"unsupported wire version {version} "
-            f"(this build writes {SUPPORTED_WIRE_VERSIONS})"
-        )
-    if isinstance(payload, BitWriter):
-        n_bits = payload.n_bits
-        payload_bytes = (n_bits + 7) // 8
-        chunks: Iterable[bytes] = payload.iter_packed(chunk_bytes)
-    else:
-        buf, n_bits = payload
-        if len(buf) != (n_bits + 7) // 8:
-            raise WireFormatError(
-                f"payload of {len(buf)} bytes disagrees with {n_bits} bits"
-            )
-        payload_bytes = len(buf)
-        view = memoryview(buf)
-        chunks = (
-            bytes(view[start : start + chunk_bytes])
-            for start in range(0, len(view), chunk_bytes)
-        )
-    if chunked is None:
-        chunked = compress or payload_bytes > chunk_bytes
-    return _write_frame_v2(
-        stream,
-        codec.name,
-        header.params,
-        header.fields,
-        chunks,
-        n_bits,
-        compress=compress,
-        chunked=chunked,
-    )
+def dump_to(obj: Any, stream: IO[bytes], *, compress: bool = False) -> int:
+    """:func:`dump` into a binary stream; returns bytes written."""
+    data = dump(obj, compress=compress)
+    stream.write(data)
+    return len(data)
 
 
 def _decode_frame_obj(frame: Frame) -> Any:
@@ -2328,12 +2078,13 @@ def _decode_frame_obj(frame: Frame) -> Any:
 def load(buf: bytes) -> Any:
     """Reconstruct a sketch or streaming summary from :func:`dump` output.
 
-    Dispatches by the frame's version byte, so v1 and v2 frames decode
-    through the same entry point.  Every decode failure surfaces as
-    :class:`WireFormatError`: codec decoders hand untrusted header fields
-    to summary constructors, whose own validation errors (``StreamError``,
-    ``ParameterError``, ...) are re-raised here as malformed-frame errors
-    so callers can rely on one exception type for untrusted input.
+    Dispatches by the frame's version byte, so v1, v2, and single-frame
+    v3 input decode through the same entry point.  Every decode failure
+    surfaces as :class:`WireFormatError`: codec decoders hand untrusted
+    header fields to summary constructors, whose own validation errors
+    (``StreamError``, ``ParameterError``, ...) are re-raised here as
+    malformed-frame errors so callers can rely on one exception type for
+    untrusted input.
     """
     return _decode_frame_obj(decode_frame(buf))
 
@@ -2341,9 +2092,9 @@ def load(buf: bytes) -> Any:
 def load_from(stream: IO[bytes], *, max_bytes: int | None = None) -> Any:
     """:func:`load` from a binary stream (one frame consumed exactly).
 
-    Chunked v2 frames decode windowed: payload bytes flow from the
-    stream into the codec's bit reader without materializing, and the
-    trailing CRC is verified when the final chunk is consumed.
+    v2 payloads decode windowed: stored bytes flow from the stream into
+    the codec's bit reader without materializing, and the trailing CRC
+    is verified when the final window is consumed.
     ``max_bytes`` bounds the frame's total byte consumption, as in
     :func:`read_frame` -- the knob untrusted-transport callers (the
     sketch server) use to reject oversized frames up front.
@@ -2372,7 +2123,7 @@ def payload_size_bits(obj: Any) -> int:
     """Exact bit length of ``obj``'s serialized payload (the measured size).
 
     By the registry contract this equals ``obj.size_in_bits()``; the test
-    suite asserts the identity for every codec, under both frame versions
+    suite asserts the identity for every codec, in frames and containers
     and with compression on and off (the stored byte count may shrink,
     the charged bit count never does).
     """

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro import wire
 from repro.cli import build_parser, main
 from repro.db import Itemset, planted_database, write_transactions
+from repro.errors import WireFormatError
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 class TestParser:
     def test_requires_command(self):
@@ -295,7 +300,7 @@ class TestCommands:
 
 
 class TestWireV2Cli:
-    """--wire-version / --compress plumbing and the new merge/inspect."""
+    """--compress plumbing and the merge/inspect commands."""
 
     def _sketch_file(self, tmp_path, *extra):
         db = planted_database(
@@ -309,25 +314,21 @@ class TestWireV2Cli:
         ) == 0
         return out
 
-    def test_wire_version_flags_parse(self):
+    def test_wire_flags_parse(self):
         parser = build_parser()
-        args = parser.parse_args(["sketch", "f.txt", "--out", "s", "--wire-version", "1"])
-        assert args.wire_version == 1 and not args.compress
-        args = parser.parse_args(["sketch", "f.txt", "--out", "s", "--compress"])
-        assert args.wire_version is None and args.compress
+        assert not parser.parse_args(["sketch", "f.txt", "--out", "s"]).compress
+        assert parser.parse_args(["sketch", "f.txt", "--out", "s", "--compress"]).compress
+        assert parser.parse_args(["merge", "a", "b", "--out", "m", "--compress"]).compress
         assert parser.parse_args(
-            ["merge", "a", "b", "--out", "m", "--wire-version", "2"]
-        ).wire_version == 2
+            ["stream", "-", "--universe", "10", "--out", "o", "--compress"]
+        ).compress
         assert parser.parse_args(["inspect", "s.bin"]).path == "s.bin"
-        assert parser.parse_args(
-            ["sketch", "f.txt", "--out", "s", "--wire-version", "3"]
-        ).wire_version == 3
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sketch", "f.txt", "--out", "s", "--wire-version", "4"])
 
-    def test_sketch_wire_version_1_round_trips(self, tmp_path, capsys):
-        out = self._sketch_file(tmp_path, "--wire-version", "1")
-        assert out.read_bytes()[4] == 1
+    def test_sketch_writes_plain_v2_and_round_trips(self, tmp_path, capsys):
+        out = self._sketch_file(tmp_path)
+        data = out.read_bytes()
+        frame = wire.decode_frame(data)
+        assert data[4] == wire.WIRE_V2 and not frame.chunked and not frame.compressed
         capsys.readouterr()
         assert main(["query", str(out), "0", "1"]) == 0
         assert "estimate[0 1]" in capsys.readouterr().out
@@ -337,11 +338,9 @@ class TestWireV2Cli:
         plain_msg = capsys.readouterr().out
         squeezed = tmp_path / "squeezed.bin"
         baskets = tmp_path / "baskets.txt"
-        # --compress needs a v2 frame; pin the version so the test also
-        # holds under the forced REPRO_WIRE_VERSION=1 compatibility leg.
         assert main(
             ["sketch", str(baskets), "--out", str(squeezed), "--seed", "4",
-             "--wire-version", "2", "--compress"]
+             "--compress"]
         ) == 0
         squeezed_msg = capsys.readouterr().out
         # Same payload bits reported, smaller file on disk.
@@ -456,26 +455,48 @@ class TestCorruptedFilesCli:
         assert main(["inspect", str(not_frame)]) == 1
         self._one_line_error(capsys, "cannot inspect")
 
-    def test_merge_truncated_shard(self, sketch_file, tmp_path, capsys):
+    @pytest.fixture
+    def shard_bytes(self):
         import numpy as np
 
         from repro.streaming import MisraGries
 
         mg = MisraGries(60, 8)
         mg.update_many(np.random.default_rng(1).integers(0, 60, 200))
+        return mg.to_bytes()
+
+    def test_merge_truncated_shard(self, shard_bytes, tmp_path, capsys):
         good = tmp_path / "good.bin"
-        good.write_bytes(mg.to_bytes())
+        good.write_bytes(shard_bytes)
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(mg.to_bytes()[:30])
+        bad.write_bytes(shard_bytes[:30])
         out = tmp_path / "m.bin"
+        assert main(["merge", str(good), str(good), "--out", str(out)]) == 0
+        capsys.readouterr()
         assert main(["merge", str(good), str(bad), "--out", str(out)]) == 1
         self._one_line_error(capsys, "cannot merge shards")
+
+
+class TestCorruptedV1FilesCli(TestCorruptedFilesCli):
+    """The same damage done to committed, decode-only v1 files."""
+
+    @pytest.fixture
+    def sketch_file(self, tmp_path):
+        out = tmp_path / "sketch.bin"
+        out.write_bytes((FIXTURES / "v1" / "release-db.ifsk").read_bytes())
+        return out
+
+    @pytest.fixture
+    def shard_bytes(self):
+        return (FIXTURES / "v1" / "misra-gries.ifsk").read_bytes()
 
 
 class TestOutputFileSafety:
     """Failed writes must not clobber an existing good sketch file."""
 
-    def test_failed_sketch_preserves_existing_output(self, tmp_path, capsys):
+    def test_failed_sketch_preserves_existing_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
         db = planted_database(
             300, 6, [(Itemset([0, 1]), 0.5)], background=0.05, rng=7
         )
@@ -485,11 +506,14 @@ class TestOutputFileSafety:
         assert main(["sketch", str(baskets), "--out", str(out)]) == 0
         capsys.readouterr()
         good = out.read_bytes()
-        # --compress on a v1 frame is invalid: the command fails ...
-        assert main(
-            ["sketch", str(baskets), "--out", str(out),
-             "--wire-version", "1", "--compress"]
-        ) == 1
+
+        def torn_dump_to(obj, stream, *, compress=False):
+            stream.write(wire.dump(obj)[:10])
+            raise WireFormatError("encode failed mid-frame")
+
+        # An encode that fails after writing part of a frame ...
+        monkeypatch.setattr(wire, "dump_to", torn_dump_to)
+        assert main(["sketch", str(baskets), "--out", str(out)]) == 1
         assert "cannot sketch" in capsys.readouterr().err
         # ... and the previously written sketch survives, byte for byte.
         assert out.read_bytes() == good
@@ -927,7 +951,6 @@ class TestDurabilityCli:
     def _data_dir_with_ops(self, tmp_path):
         import numpy as np
 
-        from repro import wire
         from repro.server import SketchRegistry
         from repro.server.persistence import PersistentStore
         from repro.streaming import MisraGries
@@ -981,6 +1004,15 @@ class TestDurabilityCli:
         assert "cannot start server" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_serve_refuses_non_container_snapshot_cleanly(self, tmp_path, capsys):
+        data_dir = self._data_dir_with_ops(tmp_path)
+        # The pre-container snapshot layout: magic, version, last_seq, count.
+        (data_dir / "snapshot.bin").write_bytes(b"IFSN\x01\x00\x00")
+        assert main(["serve", "--port", "0", "--data-dir", str(data_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "not a wire-v3 container" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_push_with_retries_through_clean_server(self, sketch_file, capsys):
         from repro.server import serve_in_thread
 
@@ -995,7 +1027,6 @@ class TestDurabilityCli:
     def test_push_retries_recover_from_transient_cut(self, tmp_path, capsys):
         import numpy as np
 
-        from repro import wire
         from repro.server import serve_in_thread
         from repro.streaming import MisraGries
         from repro.testing import FaultyProxy
@@ -1078,3 +1109,17 @@ class TestContainerCli:
         # the fold itself is bit-identical either way.
         assert "merged from 3 shards" in capsys.readouterr().out
         assert from_fleet.read_bytes() == from_files.read_bytes()
+
+    def test_pack_v1_files_like_their_v2_twins(self, tmp_path, capsys):
+        """Decode-only v1 shard files pack into the same container bytes
+        as the committed plain v2 frames of the same objects."""
+        names = sorted(p.name for p in (FIXTURES / "v1").glob("*.ifsk"))
+        assert len(names) == 12
+        packed = []
+        for layout in ("v1", "v2"):
+            paths = [str(FIXTURES / layout / name) for name in names]
+            out = tmp_path / f"{layout}.bin"
+            assert main(["pack", *paths, "--out", str(out)]) == 0
+            packed.append(out.read_bytes())
+        assert "container of 12 shards" in capsys.readouterr().out
+        assert packed[0] == packed[1]

@@ -276,15 +276,18 @@ class TestSnapshot:
         with pytest.raises(PersistenceError, match="last_seq"):
             read_snapshot(path)
 
-    def test_non_load_entry_refused(self, tmp_path):
+    def test_non_container_snapshot_refused(self, tmp_path):
+        """Snapshots are v3 containers; any other file is refused in one line."""
         path = tmp_path / "snapshot.bin"
-        body = protocol.encode_request(protocol.OP_DROP, name="x")
-        path.write_bytes(
-            b"IFSN\x01" + encode_uvarint(0) + encode_uvarint(1)
-            + encode_record(body, max_bytes=MAX)
-        )
-        with pytest.raises(PersistenceError, match="expected LOAD"):
-            read_snapshot(path)
+        for data in (
+            b"IFSN\x01" + encode_uvarint(0) + encode_uvarint(0),
+            _misra_gries().to_bytes(),
+            b"",
+        ):
+            path.write_bytes(data)
+            with pytest.raises(PersistenceError, match="not a wire-v3 container") as info:
+                read_snapshot(path)
+            assert "\n" not in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +317,30 @@ class TestPersistentStore:
         assert info.replayed_ops == 4
         assert [e.name for e in fresh.entries()] == ["mg"]
         assert _estimates(fresh, "mg") == expected
+
+    def test_journaled_v1_load_recovers_and_compacts(self, tmp_path):
+        """A LOAD of a decode-only v1 frame is journaled verbatim, replays
+        on recovery and compacts into the v3 snapshot."""
+        from pathlib import Path
+
+        v1 = Path(__file__).resolve().parent / "fixtures" / "v1" / "misra-gries.ifsk"
+        frame = v1.read_bytes()
+        store = PersistentStore(tmp_path / "data")
+        registry = SketchRegistry()
+        store.recover(registry)
+        registry.load("mg", frame)
+        expected = _estimates(registry, "mg", 60)
+        store.close()
+        (record,) = WriteAheadLog(tmp_path / "data" / "wal.log").scan().records
+        assert frame in record.request_body
+
+        for _ in range(2):
+            fresh = SketchRegistry()
+            store = PersistentStore(tmp_path / "data")
+            store.recover(fresh)
+            assert _estimates(fresh, "mg", 60) == expected
+            store.compact()
+            store.close()
 
     def test_replay_does_not_relog(self, tmp_path):
         store = PersistentStore(tmp_path / "data")

@@ -215,61 +215,6 @@ class TestVarints:
         assert stream.read(1) == b"\x05"
 
 
-class TestStreamingWriter:
-    """iter_packed / flush_to: the payload drains in bounded windows."""
-
-    def _filled_writer(self, rng_seed=0, n_bits=5000):
-        rng = np.random.default_rng(rng_seed)
-        writer = BitWriter()
-        writer.write_bits(rng.random(n_bits // 2) < 0.5)
-        writer.write_uints(rng.integers(0, 2**32, size=n_bits // 128), 64)
-        writer.write_bits(rng.random(n_bits // 3) < 0.5)
-        return writer
-
-    def test_windows_concatenate_to_getvalue(self):
-        for chunk_bytes in (1, 7, 64, 10**6):
-            reference = self._filled_writer().getvalue()
-            writer = self._filled_writer()
-            windows = list(writer.iter_packed(chunk_bytes))
-            assert b"".join(windows) == reference
-            assert all(len(w) == chunk_bytes for w in windows[:-1])
-            assert 1 <= len(windows[-1]) <= chunk_bytes
-
-    def test_flush_to_matches_and_reports_length(self):
-        reference = self._filled_writer().getvalue()
-        writer = self._filled_writer()
-        stream = io.BytesIO()
-        n_bits = writer.n_bits
-        assert writer.flush_to(stream, 32) == len(reference)
-        assert stream.getvalue() == reference
-        # The drained writer still reports the total bits it was charged.
-        assert writer.n_bits == n_bits and (n_bits + 7) // 8 == len(reference)
-
-    def test_drained_writer_refuses_reuse(self):
-        writer = self._filled_writer()
-        list(writer.iter_packed(64))
-        for op in (
-            lambda: writer.getvalue(),
-            lambda: writer.write_bit(1),
-            lambda: writer.write_bits(np.ones(3, dtype=bool)),
-            lambda: list(writer.iter_packed(64)),
-        ):
-            with pytest.raises(SketchSizeError, match="drained"):
-                op()
-
-    def test_drain_frees_the_buffer(self):
-        writer = self._filled_writer()
-        windows = writer.iter_packed(64)
-        next(windows)
-        assert writer._chunks == []  # buffer handed to the generator
-        list(windows)
-
-    def test_empty_writer_drains_to_nothing(self):
-        writer = BitWriter()
-        assert list(writer.iter_packed(16)) == []
-        assert BitWriter().flush_to(io.BytesIO()) == 0
-
-
 class TestWindowedReader:
     """BitReader.windowed: sequential reads over a chunk iterator."""
 

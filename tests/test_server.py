@@ -19,6 +19,7 @@ import socket
 import struct
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -286,6 +287,33 @@ class TestServerEndToEnd:
             assert [e.name for e in client.entries()] == ["mg"]
             client.drop("mg")
             assert client.entries() == []
+
+    def test_load_committed_v1_frames(self, server):
+        """Decode-only v1 frames LOAD, answer and fold like v2 frames."""
+        v1_dir = Path(__file__).resolve().parent / "fixtures" / "v1"
+        frames = {p.stem: p.read_bytes() for p in sorted(v1_dir.glob("*.ifsk"))}
+        assert len(frames) == 12
+        with Client(server.host, server.port) as client:
+            for codec, frame in frames.items():
+                size = wire.load(frame).size_in_bits()
+                assert client.load(codec, frame) == (codec, size, False)
+            rdb = wire.load(frames["release-db"])
+            itemsets = [Itemset([0]), Itemset([1, 2]), Itemset([3, 5, 7])]
+            assert client.estimate("release-db", itemsets) == [
+                float(v) for v in rdb.estimate_batch(itemsets)
+            ]
+            assert client.stat("release-db").params == rdb.params
+            mg = wire.load(frames["misra-gries"])
+            singletons = [Itemset([i]) for i in range(mg.universe)]
+            assert client.load("misra-gries", frames["misra-gries"])[2] is True
+            folded = merge_misra_gries(mg, mg)
+            expected = [folded.estimate_frequency(i) for i in range(mg.universe)]
+            assert client.estimate("misra-gries", singletons) == expected
+            bad = bytearray(frames["misra-gries"])
+            bad[-6] ^= 0x08
+            with pytest.raises(ServerError, match="checksum"):
+                client.load("misra-gries", bytes(bad))
+            assert client.estimate("misra-gries", singletons) == expected
 
     def test_server_error_keeps_connection_usable(self, server):
         with Client(server.host, server.port) as client:
@@ -926,7 +954,11 @@ class TestLoadManyEndToEnd:
                 ]
 
     def test_anonymous_shard_refused_client_side(self):
-        frame = wire.dump(_misra_gries(), version=wire.WIRE_V3)
+        import io
+
+        out = io.BytesIO()
+        wire.write_container(out, [("", _misra_gries())])
+        frame = out.getvalue()
         with serve_in_thread() as handle:
             with Client(handle.host, handle.port) as client:
                 with pytest.raises(ProtocolError, match="anonymous"):

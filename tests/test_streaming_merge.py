@@ -249,21 +249,40 @@ class TestMergePayloadStreams:
         assert remote._counters == local._counters
         assert remote.stream_length == local.stream_length
 
-    def test_chunked_compressed_shard_files(self, tmp_path):
-        """Shards written with the streaming v2 encoder merge identically."""
-        from repro.wire import dump_to
+    def test_chunked_compressed_shard_files(self):
+        """Committed chunked + zlib v2 shard files merge from open streams."""
+        from pathlib import Path
 
-        shards = self._shards(count=2)
-        paths = []
-        for index, shard in enumerate(shards):
-            path = tmp_path / f"shard{index}.bin"
-            with open(path, "wb") as fh:
-                dump_to(shard, fh, version=2, compress=True, chunk_bytes=32)
-            paths.append(path)
-        local = merge_misra_gries(shards[0], shards[1])
-        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        from repro.wire import load
+
+        fixtures = Path(__file__).resolve().parent / "fixtures"
+        path = fixtures / "v2" / "misra-gries.c.ifsk"
+        shard = load(path.read_bytes())
+        local = merge_misra_gries(shard, shard)
+        with open(path, "rb") as a, open(path, "rb") as b:
             remote = merge_payloads(a, b)
         assert remote._counters == local._counters
+        assert remote.stream_length == local.stream_length
+
+    @pytest.mark.parametrize(
+        "codec",
+        ["misra-gries", "space-saving", "count-min", "reservoir", "row-reservoir"],
+    )
+    def test_committed_v1_shard_files(self, codec):
+        """Decode-only v1 shard files merge, from open files and mixed with
+        v2 bytes, exactly like the same shards written as plain v2."""
+        from pathlib import Path
+
+        from repro.wire import dump
+
+        fixtures = Path(__file__).resolve().parent / "fixtures"
+        v1_path = fixtures / "v1" / f"{codec}.ifsk"
+        v2 = (fixtures / "v2" / f"{codec}.ifsk").read_bytes()
+        expected = dump(merge_payloads(v2, v2, v2, rng=5))
+        with open(v1_path, "rb") as a, open(v1_path, "rb") as b:
+            assert dump(merge_payloads(a, v2, b, rng=5)) == expected
+        v1 = v1_path.read_bytes()
+        assert dump(merge_payloads(iter([v1, v1, v1]), rng=5)) == expected
 
     def test_mixed_bytes_and_streams(self):
         import io

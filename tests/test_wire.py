@@ -13,8 +13,10 @@ The registry contract under test, for every codec:
 from __future__ import annotations
 
 import io
+import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import wire
 from repro.db.database import BinaryDatabase
-from repro.db.serialize import encode_svarint
+from repro.db.serialize import encode_svarint, encode_uvarint
 from repro.core import (
     BestOfNaiveSketcher,
     ImportanceSampleSketcher,
@@ -99,6 +101,29 @@ def _assert_size_identity(obj):
     assert wire.payload_size_bits(obj) == frame.n_bits
 
 
+def _craft_v1(codec, params, extras, payload, n_bits) -> bytes:
+    """Assemble a v1 frame (valid CRC), the layout nothing writes any more."""
+    name = codec.encode("ascii")
+    if params is None:
+        params_block = b"\x00"
+    else:
+        params_block = b"\x01" + struct.pack(
+            ">QIIdd", params.n, params.d, params.k, params.epsilon, params.delta
+        )
+    blob = json.dumps(dict(extras), sort_keys=True, separators=(",", ":")).encode()
+    body = b"".join([
+        wire.MAGIC, bytes([wire.WIRE_V1, len(name)]), name, params_block,
+        struct.pack(">I", len(blob)), blob, struct.pack(">Q", n_bits), payload,
+    ])
+    return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _as_v1(frame_bytes: bytes) -> bytes:
+    """Re-frame any frame's header and payload as a v1 frame."""
+    f = wire.decode_frame(frame_bytes)
+    return _craft_v1(f.codec, f.params, f.extras, f.payload, f.n_bits)
+
+
 class TestRegistry:
     def test_every_expected_codec_registered(self):
         assert set(wire.codec_names()) == ALL_CODECS
@@ -145,23 +170,20 @@ class TestCoreSketchRoundTrip:
         inv_eps=st.sampled_from([4, 8, 16]),
     )
     def test_property_round_trip(self, n, d, seed, inv_eps):
-        """Round-trips hold under *both* frame versions (and zlib v2)."""
+        """Round-trips hold for plain, v1 and zlib frames."""
         db = random_database(n, d, 0.35, rng=seed)
         k = min(2, d)
         p = SketchParams(n=n, d=d, k=k, epsilon=1.0 / inv_eps, delta=0.1)
         queries = list(all_itemsets(d, k))
         for sketcher in _core_sketchers(Task.FORALL_ESTIMATOR):
             sketch = sketcher.sketch(db, p, rng=seed + 1)
-            frames = [
-                sketch.to_bytes(),
-                wire.dump(sketch, version=wire.WIRE_V1),
-                wire.dump(sketch, version=wire.WIRE_V2),
-                wire.dump(sketch, version=wire.WIRE_V2, compress=True),
-            ]
+            plain = sketch.to_bytes()
+            frames = [plain, _as_v1(plain), wire.dump(sketch, compress=True)]
             expected = sketch.estimate_batch(queries)
             for buf in frames:
                 clone = FrequencySketch.from_bytes(buf)
                 np.testing.assert_array_equal(expected, clone.estimate_batch(queries))
+                assert clone.params == sketch.params
                 assert wire.decode_frame(buf).n_bits == sketch.size_in_bits()
             _assert_size_identity(sketch)
 
@@ -174,18 +196,15 @@ class TestStreamingRoundTrip:
         seed=st.integers(0, 2**16),
     )
     def test_property_round_trip(self, universe, length, seed):
-        """Every summary round-trips under v1, v2, and compressed v2."""
+        """Every summary round-trips through plain, v1 and compressed frames."""
         rng = np.random.default_rng(seed)
         stream = rng.integers(0, universe, size=length, dtype=np.int64)
         for summary in _stream_summaries(universe):
             if length:
                 summary.update_many(stream)
             probe = np.unique(stream)[:50] if length else np.arange(min(universe, 20))
-            for buf in (
-                summary.to_bytes(),
-                wire.dump(summary, version=wire.WIRE_V1),
-                wire.dump(summary, version=wire.WIRE_V2, compress=True),
-            ):
+            plain = summary.to_bytes()
+            for buf in (plain, _as_v1(plain), wire.dump(summary, compress=True)):
                 clone = StreamSummary.from_bytes(buf)
                 assert type(clone) is type(summary)
                 assert clone.stream_length == summary.stream_length
@@ -317,14 +336,23 @@ class TestDistributedMerge:
             merge_payloads(a.to_bytes(), b.to_bytes())
 
 
+def _release_db_frame() -> bytes:
+    db = random_database(50, 8, 0.3, rng=0)
+    p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
+    return ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p).to_bytes()
+
+
 class TestFrameRejection:
     """Every way a frame can lie must raise WireFormatError."""
 
     @pytest.fixture
     def frame_bytes(self):
-        db = random_database(50, 8, 0.3, rng=0)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        return ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p).to_bytes()
+        return _release_db_frame()
+
+    @pytest.fixture
+    def encode(self):
+        """The frame assembler, taking ``encode_frame``'s positional fields."""
+        return wire.encode_frame
 
     def test_bad_magic(self, frame_bytes):
         with pytest.raises(WireFormatError, match="magic"):
@@ -352,28 +380,30 @@ class TestFrameRejection:
             with pytest.raises(WireFormatError):
                 wire.load(bytes(buf))
 
-    def test_unknown_codec(self):
-        buf = wire.encode_frame("no-such-codec", None, {}, b"", 0)
+    def test_unknown_codec(self, encode):
+        buf = encode("no-such-codec", None, {}, b"", 0)
         with pytest.raises(WireFormatError, match="unknown codec"):
             wire.load(buf)
 
-    def test_declared_bits_disagree_with_payload(self):
+    def test_declared_bits_disagree_with_payload(self, encode):
+        # The v2 writer refuses to assemble it; a v1 frame saying so is
+        # refused by the reader.
         with pytest.raises(WireFormatError):
-            wire.encode_frame("release-db", None, {}, b"\x00", 9)
+            wire.load(encode("release-db", None, {}, b"\x00", 9))
 
-    def test_missing_extras_rejected(self):
+    def test_missing_extras_rejected(self, encode):
         p = SketchParams(n=2, d=4, k=1, epsilon=0.5)
-        buf = wire.encode_frame("release-db", p, {}, b"\x00", 8)
+        buf = encode("release-db", p, {}, b"\x00", 8)
         with pytest.raises(WireFormatError, match="missing extra"):
             wire.load(buf)
 
-    def test_payload_shape_mismatch_rejected(self):
+    def test_payload_shape_mismatch_rejected(self, encode):
         p = SketchParams(n=2, d=4, k=1, epsilon=0.5)
-        buf = wire.encode_frame("release-db", p, {"n": 2, "d": 4}, b"\x00", 7)
+        buf = encode("release-db", p, {"n": 2, "d": 4}, b"\x00", 7)
         with pytest.raises(WireFormatError, match="n\\*d"):
             wire.load(buf)
 
-    def test_release_answers_inflated_bit_count_rejected(self):
+    def test_release_answers_inflated_bit_count_rejected(self, encode):
         # A re-framed payload with extra zero bytes and an inflated n_bits
         # (valid CRC, valid padding) must not decode to a sketch whose
         # size_in_bits disagrees with the real answer table.
@@ -381,7 +411,7 @@ class TestFrameRejection:
         p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.25)
         sketch = ReleaseAnswersSketcher(Task.FORALL_INDICATOR).sketch(db, p)
         frame = wire.decode_frame(sketch.to_bytes())
-        inflated = wire.encode_frame(
+        inflated = encode(
             frame.codec,
             frame.params,
             frame.extras,
@@ -391,7 +421,7 @@ class TestFrameRejection:
         with pytest.raises(WireFormatError, match="C\\(d,k\\)"):
             wire.load(inflated)
 
-    def test_malformed_extras_raise_wire_error_not_stream_error(self):
+    def test_malformed_extras_raise_wire_error_not_stream_error(self, encode):
         """Constructor validation of untrusted header fields surfaces as
         WireFormatError, the one exception type the contract documents."""
         mg = MisraGries(50, 5)
@@ -400,74 +430,94 @@ class TestFrameRejection:
             {**frame.extras, "k": -1},
             {**frame.extras, "universe": 0},
         ):
-            buf = wire.encode_frame(
-                frame.codec, None, bad_extras, frame.payload, frame.n_bits
-            )
+            buf = encode(frame.codec, None, bad_extras, frame.payload, frame.n_bits)
             with pytest.raises(WireFormatError):
                 wire.load(buf)
 
-    def test_cross_family_from_bytes_rejected(self):
+    def test_cross_family_from_bytes_rejected(self, encode):
+        def reframe(buf):
+            f = wire.decode_frame(buf)
+            return encode(f.codec, f.params, f.extras, f.payload, f.n_bits)
+
         mg = MisraGries(20, 4)
         with pytest.raises(WireFormatError, match="not a FrequencySketch"):
-            FrequencySketch.from_bytes(mg.to_bytes())
+            FrequencySketch.from_bytes(reframe(mg.to_bytes()))
         db = random_database(20, 6, 0.3, rng=0)
         p = SketchParams(n=20, d=6, k=2, epsilon=0.2)
         sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
         with pytest.raises(WireFormatError, match="not a StreamSummary"):
-            StreamSummary.from_bytes(sketch.to_bytes())
+            StreamSummary.from_bytes(reframe(sketch.to_bytes()))
+
+
+class TestV1FrameRejection(TestFrameRejection):
+    """The same lies told in the decode-only v1 layout."""
+
+    @pytest.fixture
+    def frame_bytes(self):
+        return _as_v1(_release_db_frame())
+
+    @pytest.fixture
+    def encode(self):
+        return _craft_v1
+
+    def test_corrupt_bit_count_fails_without_a_payload_sized_read(self):
+        # A flipped high byte of n_bits declares an exabyte-scale payload.
+        spy = _SpyStream(_craft_v1("misra-gries", None, {}, b"", 2**60))
+        with pytest.raises(WireFormatError, match="truncated"):
+            wire.load_from(spy)
+        assert max(spy.read_sizes) <= wire.DEFAULT_CHUNK_BYTES
+
+    def test_crafted_frames_match_committed_v1_frames(self):
+        """The v1 rows in this file are real v1 frames: re-framing each
+        codec's plain v2 fixture gives its committed v1 fixture."""
+        for path in sorted((FIXTURES / "v1").glob("*.ifsk")):
+            plain = (FIXTURES / "v2" / path.name).read_bytes()
+            assert _as_v1(plain) == path.read_bytes(), path.name
 
 
 # ----------------------------------------------------------------------
 # Wire-format v2: binary headers, compression, chunked streaming.
 # ----------------------------------------------------------------------
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
 def _all_codec_objects():
     """One instance per registered codec (the golden-fixture builder)."""
     import importlib.util
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parent / "fixtures" / "generate_v1_fixtures.py"
-    spec = importlib.util.spec_from_file_location("generate_v1_fixtures", path)
+    path = FIXTURES / "generate_v2_fixtures.py"
+    spec = importlib.util.spec_from_file_location("generate_v2_fixtures", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.build_fixture_objects()
 
 
 class _SpyStream(io.BytesIO):
-    """A BytesIO that records the size of every write and read."""
+    """A BytesIO that records the size asked of every read."""
 
     def __init__(self, data: bytes = b"") -> None:
         super().__init__(data)
-        self.write_sizes: list[int] = []
         self.read_sizes: list[int] = []
 
-    def write(self, data):
-        self.write_sizes.append(len(data))
-        return super().write(data)
-
     def read(self, n=-1):
-        data = super().read(n)
-        self.read_sizes.append(len(data))
-        return data
+        self.read_sizes.append(n)
+        return super().read(n)
 
 
 class TestWireV2:
-    def test_default_version_and_env_override(self, monkeypatch):
+    def test_dump_writes_plain_v2(self):
         mg = MisraGries(30, 4)
-        monkeypatch.delenv(wire.WIRE_VERSION_ENV, raising=False)
-        assert wire.dump(mg)[4] == wire.WIRE_VERSION == wire.WIRE_V2
-        monkeypatch.setenv(wire.WIRE_VERSION_ENV, "1")
-        assert wire.dump(mg)[4] == wire.WIRE_V1
-        assert mg.to_bytes()[4] == wire.WIRE_V1
-        monkeypatch.setenv(wire.WIRE_VERSION_ENV, "7")
-        with pytest.raises(WireFormatError, match="REPRO_WIRE_VERSION"):
-            wire.dump(mg)
+        for buf in (wire.dump(mg), mg.to_bytes()):
+            frame = wire.decode_frame(buf)
+            assert buf[4] == frame.version == wire.WIRE_V2
+            assert not frame.chunked and not frame.compressed
 
     def test_size_identity_every_codec_with_and_without_compression(self):
         """The acceptance invariant: size_in_bits == n_bits under v2,
         compressed or not -- compression shrinks stored bytes only."""
         for name, obj in _all_codec_objects().items():
             for compress in (False, True):
-                buf = wire.dump(obj, version=wire.WIRE_V2, compress=compress)
+                buf = wire.dump(obj, compress=compress)
                 frame = wire.decode_frame(buf)
                 assert frame.codec == name and frame.version == wire.WIRE_V2
                 assert frame.compressed is compress
@@ -475,23 +525,13 @@ class TestWireV2:
                 clone = wire.load(buf)
                 assert clone.size_in_bits() == obj.size_in_bits()
 
-    def test_v2_header_strictly_smaller_than_v1(self):
-        """Binary varint headers beat length-prefixed JSON on every codec."""
-        from repro.experiments import measure_frame_overhead
-
-        for name, obj in _all_codec_objects().items():
-            row = measure_frame_overhead(obj)
-            assert row["v2_header_bytes"] < row["v1_header_bytes"], name
-
     def test_stream_round_trip_every_codec(self):
         for name, obj in _all_codec_objects().items():
             for compress in (False, True):
                 stream = io.BytesIO()
-                n = wire.dump_to(
-                    obj, stream, version=wire.WIRE_V2,
-                    compress=compress, chunk_bytes=32,
-                )
+                n = wire.dump_to(obj, stream, compress=compress)
                 assert n == stream.tell()
+                assert stream.getvalue() == wire.dump(obj, compress=compress)
                 stream.seek(0)
                 clone = wire.load_from(stream)
                 assert type(clone) is type(obj), name
@@ -499,48 +539,34 @@ class TestWireV2:
                 # Exactly one frame was consumed: the stream is at EOF.
                 assert stream.read() == b""
 
-    def test_chunked_encode_is_windowed(self):
-        """No single write materializes the payload: every write is at
-        most one chunk (+ its u32 length prefix), and the BitWriter's
-        buffer is drained rather than coalesced."""
-        db = random_database(400, 16, 0.3, rng=5)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        payload_bytes = (sketch.size_in_bits() + 7) // 8
-        chunk = 64
-        spy = _SpyStream()
-        wire.dump_to(sketch, spy, version=wire.WIRE_V2, chunk_bytes=chunk)
-        assert payload_bytes > 10 * chunk  # the case is actually chunked
-        assert max(spy.write_sizes) <= chunk
-        frame = wire.decode_frame(spy.getvalue())
-        assert frame.chunked
-        np.testing.assert_array_equal(
-            wire.load(spy.getvalue()).database.rows, sketch.database.rows
-        )
-
     def test_chunked_decode_is_windowed(self):
         """load_from never issues a payload-sized read from the file."""
         db = random_database(400, 16, 0.3, rng=6)
         p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
         sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
         chunk = 64
-        buf = io.BytesIO()
-        wire.dump_to(sketch, buf, version=wire.WIRE_V2, chunk_bytes=chunk)
+        frame_bytes = _chunked_v2(wire.dump(sketch), chunk)
         payload_bytes = (sketch.size_in_bits() + 7) // 8
-        spy = _SpyStream(buf.getvalue())
+        assert payload_bytes > 10 * chunk  # the case is actually chunked
+        assert wire.decode_frame(frame_bytes).chunked
+        spy = _SpyStream(frame_bytes)
         clone = wire.load_from(spy)
         np.testing.assert_array_equal(clone.database.rows, sketch.database.rows)
         assert max(spy.read_sizes) <= chunk
 
     def test_unchunked_small_frames_stay_compact(self):
-        mg = MisraGries(30, 4)
-        stream = io.BytesIO()
-        wire.dump_to(mg, stream, version=wire.WIRE_V2)
-        stream.seek(0)
-        frame = wire.read_frame(stream)
-        assert not frame.chunked
-        # Compact layout matches the in-memory encoder byte for byte.
-        assert stream.getvalue() == wire.dump(mg, version=wire.WIRE_V2)
+        """dump_to writes exactly dump's plain frame, whatever the size."""
+        db = random_database(2048, 300, 0.3, rng=5)
+        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
+        big = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
+        assert (big.size_in_bits() + 7) // 8 > wire.DEFAULT_CHUNK_BYTES
+        for obj in (MisraGries(30, 4), big):
+            stream = io.BytesIO()
+            wire.dump_to(obj, stream)
+            stream.seek(0)
+            frame = wire.read_frame(stream)
+            assert not frame.chunked
+            assert stream.getvalue() == wire.dump(obj)
 
     def test_compressed_frame_smaller_on_redundant_payload(self):
         db = BinaryDatabase(np.zeros((64, 16), dtype=bool))
@@ -548,31 +574,34 @@ class TestWireV2:
         from repro.core.release_db import ReleaseDbSketch
 
         sketch = ReleaseDbSketch(p, db)
-        plain = wire.dump(sketch, version=wire.WIRE_V2)
-        squeezed = wire.dump(sketch, version=wire.WIRE_V2, compress=True)
+        plain = wire.dump(sketch)
+        squeezed = wire.dump(sketch, compress=True)
         assert len(squeezed) < len(plain)
         assert wire.decode_frame(squeezed).n_bits == sketch.size_in_bits()
-
-    def test_v1_cannot_compress_or_chunk(self):
-        mg = MisraGries(30, 4)
-        with pytest.raises(WireFormatError, match="v1"):
-            wire.dump(mg, version=wire.WIRE_V1, compress=True)
-        with pytest.raises(WireFormatError, match="v1"):
-            wire.dump_to(mg, io.BytesIO(), version=wire.WIRE_V1, chunked=True)
 
     def test_inspect_frame_reads_header_only(self):
         db = random_database(80, 9, 0.3, rng=7)
         p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
         sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        for version in (wire.WIRE_V1, wire.WIRE_V2):
-            buf = wire.dump(sketch, version=version)
-            info = wire.inspect_frame(io.BytesIO(buf))
-            assert info.codec == "release-db" and info.version == version
-            assert info.n_bits == sketch.size_in_bits()
-            assert info.params == p and info.extras == {"n": db.n, "d": db.d}
-            assert info.frame_bytes == len(buf)
-            assert info.crc_ok
-        corrupted = bytearray(wire.dump(sketch, version=wire.WIRE_V2))
+        buf = wire.dump(sketch)
+        info = wire.inspect_frame(io.BytesIO(buf))
+        assert info.codec == "release-db" and info.version == wire.WIRE_V2
+        assert info.n_bits == sketch.size_in_bits()
+        assert info.params == p and info.extras == {"n": db.n, "d": db.d}
+        assert info.frame_bytes == len(buf)
+        assert info.crc_ok
+        # A committed v1 frame reports the same header as its v2 twin.
+        v1 = (FIXTURES / "v1" / "release-db.ifsk").read_bytes()
+        v1_info = wire.inspect_frame(io.BytesIO(v1))
+        v2_info = wire.inspect_frame(
+            io.BytesIO((FIXTURES / "v2" / "release-db.ifsk").read_bytes())
+        )
+        assert v1_info.version == wire.WIRE_V1 and v1_info.crc_ok
+        assert v1_info.frame_bytes == len(v1)
+        assert (v1_info.codec, v1_info.params, v1_info.extras, v1_info.n_bits) == (
+            v2_info.codec, v2_info.params, v2_info.extras, v2_info.n_bits
+        )
+        corrupted = bytearray(buf)
         corrupted[-10] ^= 0x20  # payload byte: header still parses
         info = wire.inspect_frame(io.BytesIO(bytes(corrupted)))
         assert not info.crc_ok
@@ -612,6 +641,31 @@ def _craft_v2(
     return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def _chunked_v2(plain: bytes, chunk_bytes: int, *, compress: bool = False) -> bytes:
+    """Re-frame a plain v2 frame in the decode-only chunked layout.
+
+    Nothing writes chunked frames any more, so :func:`_craft_v2` rebuilds
+    one from the plain frame's header fields and its payload (zlib
+    compressed first when ``compress``), split into ``chunk_bytes``
+    chunks.
+    """
+    frame = wire.decode_frame(plain)
+    name = frame.codec.encode("ascii")
+    flags_at = len(wire.MAGIC) + 2 + len(name)
+    n_bits_raw = encode_uvarint(frame.n_bits)
+    header_end = wire.inspect_frame(io.BytesIO(plain)).header_bytes
+    stored = zlib.compress(frame.payload, 6) if compress else frame.payload
+    chunks = [stored[i : i + chunk_bytes] for i in range(0, len(stored), chunk_bytes)]
+    return _craft_v2(
+        name,
+        flags=plain[flags_at] | 0x04 | (0x02 if compress else 0),
+        fields=plain[flags_at + 1 : header_end - len(n_bits_raw)],
+        n_bits_raw=n_bits_raw,
+        payload_section=b"".join(struct.pack(">I", len(c)) + c for c in chunks)
+        + struct.pack(">I", 0),
+    )
+
+
 class TestV2FrameRejection:
     """Every way a v2 frame can lie must raise WireFormatError."""
 
@@ -620,18 +674,14 @@ class TestV2FrameRejection:
         db = random_database(50, 8, 0.3, rng=0)
         p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
         sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        return wire.dump(sketch, version=wire.WIRE_V2)
+        return wire.dump(sketch)
 
     @pytest.fixture
     def v2_chunked_frame(self):
         db = random_database(200, 12, 0.3, rng=1)
         p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
         sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        stream = io.BytesIO()
-        wire.dump_to(
-            sketch, stream, version=wire.WIRE_V2, compress=True, chunk_bytes=48
-        )
-        return stream.getvalue()
+        return _chunked_v2(wire.dump(sketch), 48, compress=True)
 
     def test_corruption_any_byte(self, v2_frame, v2_chunked_frame):
         for frame_bytes in (v2_frame, v2_chunked_frame):
@@ -671,6 +721,14 @@ class TestV2FrameRejection:
     def test_empty_field_key(self):
         with pytest.raises(WireFormatError, match="empty header field key"):
             wire.load(_craft_v2(fields=b"\x01\x00"))
+
+    def test_oversized_string_field_fails_without_a_field_sized_read(self):
+        # A string field declaring a 1 TiB value, in a 30-byte frame.
+        fields = b"\x01\x01k\x03" + encode_uvarint(1 << 40)
+        spy = _SpyStream(_craft_v2(fields=fields))
+        with pytest.raises(WireFormatError, match="truncated"):
+            wire.load_from(spy)
+        assert max(spy.read_sizes) <= wire.DEFAULT_CHUNK_BYTES
 
     def test_non_canonical_varint(self):
         # n_bits encoded as the padded two-byte form of zero.
@@ -737,20 +795,13 @@ class TestStreamTruncation:
     def _frames() -> dict[str, bytes]:
         mg = MisraGries(64, 8)
         mg.update_many(np.arange(256) % 11)
-        frames = {}
-        for label, kwargs in (
-            ("v1", dict(version=wire.WIRE_V1)),
-            ("v2-plain", dict(version=wire.WIRE_V2, chunked=False)),
-            ("v2-chunked", dict(version=wire.WIRE_V2, chunked=True, chunk_bytes=16)),
-            (
-                "v2-zlib-chunked",
-                dict(version=wire.WIRE_V2, compress=True, chunked=True, chunk_bytes=16),
-            ),
-        ):
-            stream = io.BytesIO()
-            wire.dump_to(mg, stream, **kwargs)
-            frames[label] = stream.getvalue()
-        return frames
+        plain = wire.dump(mg)
+        return {
+            "v1": (FIXTURES / "v1" / "misra-gries.ifsk").read_bytes(),
+            "v2-plain": plain,
+            "v2-chunked": _chunked_v2(plain, 16),
+            "v2-zlib-chunked": (FIXTURES / "v2" / "misra-gries.c.ifsk").read_bytes(),
+        }
 
     def test_every_cut_fails_cleanly_eager(self):
         for label, frame_bytes in self._frames().items():
@@ -803,11 +854,7 @@ class TestMaxBytesBudget:
     def _chunked_frame() -> bytes:
         mg = MisraGries(64, 8)
         mg.update_many(np.arange(256) % 11)
-        stream = io.BytesIO()
-        wire.dump_to(
-            mg, stream, version=wire.WIRE_V2, chunked=True, chunk_bytes=16
-        )
-        return stream.getvalue()
+        return _chunked_v2(wire.dump(mg), 16)
 
     def test_exact_budget_decodes(self):
         frame_bytes = self._chunked_frame()
@@ -841,6 +888,16 @@ class TestMaxBytesBudget:
             wire.load_from(
                 _Explosive(bytes(frame_bytes)), max_bytes=len(frame_bytes)
             )
+
+    def test_corrupt_chunk_length_fails_without_a_chunk_sized_read(self):
+        # Without a budget too: a flipped high bit claims a ~1 GiB chunk.
+        frame_bytes = bytearray(self._chunked_frame())
+        offset = frame_bytes.index(struct.pack(">I", 16), 8)
+        frame_bytes[offset] ^= 0x40
+        spy = _SpyStream(bytes(frame_bytes))
+        with pytest.raises(WireFormatError, match="truncated"):
+            wire.load_from(spy)
+        assert max(spy.read_sizes) <= wire.DEFAULT_CHUNK_BYTES
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(WireFormatError, match="max_bytes"):

@@ -38,8 +38,8 @@ from repro.streaming import MisraGries
 @functools.lru_cache(maxsize=1)
 def _zoo() -> dict[str, object]:
     """One deterministic summary per codec (the golden-fixture objects)."""
-    path = Path(__file__).resolve().parent / "fixtures" / "generate_v1_fixtures.py"
-    spec = importlib.util.spec_from_file_location("generate_v1_fixtures", path)
+    path = Path(__file__).resolve().parent / "fixtures" / "generate_v2_fixtures.py"
+    spec = importlib.util.spec_from_file_location("generate_v2_fixtures", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.build_fixture_objects()
@@ -108,9 +108,9 @@ class TestContainerRoundTrip:
         assert wire.inspect_container(io.BytesIO(data)).meta == {"last_seq": 42}
 
     def test_single_anonymous_frame_is_a_plain_sketch_file(self):
-        """dump(version=3) output flows through load/read_frame unchanged."""
+        """A one-entry container flows through load/read_frame unchanged."""
         obj = _misra_gries()
-        data = wire.dump(obj, version=wire.WIRE_V3)
+        data = _container([("", obj)])
         assert wire.peek_wire_version(data) == wire.WIRE_V3
         assert wire.dump(wire.load(data)) == wire.dump(obj)
         info = wire.inspect_frame(io.BytesIO(data))
