@@ -12,18 +12,19 @@ mask-matrix kernel vs the naive unpacked row walk) and ``parallel_sweep``
 (the sharded ``workers=`` evaluator vs the PR-1 serial path, with a smoke
 assertion that auto-sharding never regresses serial by more than 25%).
 
-PR 4 adds ``parallel_sweep_backends``: one large ``C(d, k)`` sweep timed
-per shard-executor backend (serial / thread / shared-memory process
-pool), with a smoke assertion that on a multi-core host (>= 4 CPUs) the
-process backend is never slower than serial.  The committed JSON is only
-a real multi-core record when regenerated on such a host -- CI's
-query-engine smoke step measures it on 4-vCPU runners and uploads the
-artifact.
+``parallel_sweep_backends`` times one large ``C(d, k)`` sweep inline
+(``workers=1``) and sharded on threads, the only executor a query sweep
+has, with a smoke assertion that on a multi-core host (>= 4 CPUs) the
+threads are never slower than serial.  The committed JSON is only a real
+multi-core record when regenerated on such a host -- CI's query-engine
+smoke step measures it on multi-vCPU runners and uploads the artifact.
 
 PR 6 adds ``kernel_tiers``: the cffi-compiled native C kernels vs the
 numpy kernels on the large ``combination_supports`` sweep (plus
 native+thread, since the C calls release the GIL), asserting native is
-never slower and recording the tier speedups.  All cases draw their
+never slower and recording the tier speedups.  The numpy tier is reached
+the way the tests reach it: by making the native loader fail, as on a
+host without cffi or a compiler.  All cases draw their
 database from the bench conftest's shared ``(n, d, density)`` cache
 (``config.shared_database``), so the generator and the packed kernels
 are paid once per shape, not once per case.
@@ -301,35 +302,26 @@ def bench_parallel_sweep(n: int, d: int, k: int, repeats: int) -> dict:
 
 
 def bench_backend_sweep(n: int, d: int, k: int, repeats: int) -> dict:
-    """One large ``C(d, k)`` sweep per shard-executor backend.
+    """One large ``C(d, k)`` sweep inline and sharded on threads.
 
-    ``serial`` is the single-worker inline path; ``thread`` and
-    ``process`` run the same kernel on ``min(4, cpu_count)`` shards via
-    the thread pool and the shared-memory process pool respectively.  All
-    three must produce bit-identical counts.  Best-of-``repeats`` timing,
-    so the process pool's one-time startup never decides the number (the
-    pool is persistent and reused across sweeps, as in production).
+    ``serial`` is the single-worker inline path; ``thread`` runs the same
+    kernel on ``min(4, cpu_count)`` thread shards, the executor every
+    multi-worker query sweep gets.  Both must produce bit-identical
+    counts.  Best-of-``repeats`` timing.
     """
     db = shared_database(n, d, 0.3)
     kernel = db.packed
     n_queries = comb(d, k)
     workers = max(1, min(4, os.cpu_count() or 1))
-    repeats = max(repeats, 3)  # amortize pool startup and cache warmup
+    repeats = max(repeats, 3)  # amortize thread startup and cache warmup
 
     serial_time, serial_counts = _time(
-        lambda: kernel.combination_supports(k, workers=1, backend="serial")[1],
-        repeats,
+        lambda: kernel.combination_supports(k, workers=1)[1], repeats
     )
     thread_time, thread_counts = _time(
-        lambda: kernel.combination_supports(k, workers=workers, backend="thread")[1],
-        repeats,
-    )
-    process_time, process_counts = _time(
-        lambda: kernel.combination_supports(k, workers=workers, backend="process")[1],
-        repeats,
+        lambda: kernel.combination_supports(k, workers=workers)[1], repeats
     )
     assert np.array_equal(serial_counts, thread_counts)
-    assert np.array_equal(serial_counts, process_counts)
     return {
         "config": {
             "n": n,
@@ -341,12 +333,8 @@ def bench_backend_sweep(n: int, d: int, k: int, repeats: int) -> dict:
         },
         "serial": _throughput(n, n_queries, serial_time),
         "thread": _throughput(n, n_queries, thread_time),
-        "process": _throughput(n, n_queries, process_time),
-        "speedup_thread": serial_time / thread_time,
-        "speedup_process": serial_time / process_time,
-        "speedup": serial_time / process_time,
+        "speedup": serial_time / thread_time,
     }
-
 
 
 def bench_kernel_tiers(n: int, d: int, k: int, repeats: int) -> dict:
@@ -366,12 +354,10 @@ def bench_kernel_tiers(n: int, d: int, k: int, repeats: int) -> dict:
     repeats = max(repeats, 3)  # amortize the one-time native build/load
     native_available = _native.available()
 
-    numpy_time, numpy_counts = _time(
-        lambda: kernel.combination_supports(
-            k, workers=1, backend="serial", kernel="numpy"
-        )[1],
-        repeats,
-    )
+    with _native._forced_unavailable_for_tests():
+        numpy_time, numpy_counts = _time(
+            lambda: kernel.combination_supports(k, workers=1)[1], repeats
+        )
     result = {
         "config": {
             "n": n,
@@ -389,16 +375,10 @@ def bench_kernel_tiers(n: int, d: int, k: int, repeats: int) -> dict:
         result["speedup"] = 1.0
         return result
     native_time, native_counts = _time(
-        lambda: kernel.combination_supports(
-            k, workers=1, backend="serial", kernel="native"
-        )[1],
-        repeats,
+        lambda: kernel.combination_supports(k, workers=1)[1], repeats
     )
     thread_time, thread_counts = _time(
-        lambda: kernel.combination_supports(
-            k, workers=workers, backend="thread", kernel="native"
-        )[1],
-        repeats,
+        lambda: kernel.combination_supports(k, workers=workers)[1], repeats
     )
     assert np.array_equal(numpy_counts, native_counts), (
         "native kernel disagrees with numpy on the combination sweep"
@@ -484,12 +464,11 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
         f"{MAX_SHARDED_SLOWDOWN}x serial {sweep['serial']['seconds']:.4f}s"
     )
     backends = results["parallel_sweep_backends"]
-    # Smoke contract (PR 4): with real cores to shard over, the process
-    # backend must at minimum not lose to serial on the large sweep.  On
-    # fewer cores all backends degenerate to the same inline path.
+    # Smoke contract: with real cores to shard over, the thread shards
+    # must at minimum not lose to serial on the large sweep.
     if (os.cpu_count() or 1) >= 4:
-        assert backends["process"]["seconds"] <= backends["serial"]["seconds"], (
-            f"process backend {backends['process']['seconds']:.3f}s slower than "
+        assert backends["thread"]["seconds"] <= backends["serial"]["seconds"], (
+            f"thread shards {backends['thread']['seconds']:.3f}s slower than "
             f"serial {backends['serial']['seconds']:.3f}s on the large sweep"
         )
     tiers = results["kernel_tiers"]
@@ -541,16 +520,15 @@ def test_packed_engine_speedup_full():
             f"{heavy['speedup']:.2f}x with {heavy['config']['auto_workers']} workers"
         )
         assert heavy["speedup"] >= 2.0
-        # PR-4 acceptance target: the shared-memory process backend gives
-        # a real multi-core speedup on the large sweep.
+        # PR-4 acceptance target, on the executor that now runs the sweep:
+        # thread shards give a real multi-core speedup on the large sweep.
         backends = record["results"]["parallel_sweep_backends"]
         print(
             f"parallel_sweep_backends (n=65536, d=28, k=4): "
-            f"thread {backends['speedup_thread']:.2f}x, "
-            f"process {backends['speedup_process']:.2f}x "
-            f"over serial with {backends['config']['workers']} workers"
+            f"thread {backends['speedup']:.2f}x over serial with "
+            f"{backends['config']['workers']} workers"
         )
-        assert backends["speedup_process"] >= 2.0
+        assert backends["speedup"] >= 2.0
     # workers=1 runs the serial code path inline; it must stay within 5%
     # of the unsharded kernel (here: of the auto path when auto == serial).
     if sweep["config"]["auto_workers"] == 1:
@@ -596,9 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         f"workers={backends['config']['workers']} of "
         f"{backends['config']['cpu_count']} cpus): serial "
         f"{backends['serial']['seconds']:.3f}s, thread "
-        f"{backends['thread']['seconds']:.3f}s ({backends['speedup_thread']:.2f}x), "
-        f"process {backends['process']['seconds']:.3f}s "
-        f"({backends['speedup_process']:.2f}x)"
+        f"{backends['thread']['seconds']:.3f}s ({backends['speedup']:.2f}x)"
     )
     tiers = record["results"]["kernel_tiers"]
     if tiers["config"]["native_available"]:

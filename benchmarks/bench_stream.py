@@ -1,19 +1,20 @@
-"""Micro-batch stream pipeline: serial vs thread vs process ingestion.
+"""Micro-batch stream pipeline: serial vs process-pool ingestion.
 
 Measures the PR-8 tentpole -- :class:`repro.streaming.pipeline.StreamPipeline`
 partitioning an unbounded item stream into micro-batches and sketching each
-batch in parallel on the PR-4 shard-executor backends (one summary partial
-per worker, folded by ``merge_summaries``) -- against the serial
+batch's partials in parallel worker processes (one summary partial per
+worker, folded by ``merge_summaries``) -- against the serial
 ``update_many`` path on the same batches.
 
 Cases:
 
 * ``pipeline_backends``: items/sec for the same Zipf stream pushed through
-  the pipeline with the ``serial``, ``thread``, and ``process`` backends,
-  plus the bare ``update_many`` loop (no queue, no thread) as the floor.
-  Count-min is the timed summary because its partials sum exactly, so all
-  backends must produce *bit-identical* frames -- correctness is asserted,
-  not sampled.
+  the pipeline with one worker (``serial``: the resident summary's own
+  ``update_many``) and with several (``process``: partials on the shared
+  process pool), plus the bare ``update_many`` loop (no queue, no thread)
+  as the floor.  Count-min is the timed summary because its partials sum
+  exactly, so both must produce *bit-identical* frames -- correctness is
+  asserted, not sampled.
 * ``queue_behavior``: the bounded-queue stats for a slow-consumer run --
   max resident queue depth (must never exceed the configured bound) and
   producer backpressure wait time, the "bounded RSS" contract in numbers.
@@ -21,11 +22,10 @@ Cases:
   with the write-ahead log off vs on (PR 9's ``--data-dir``), isolating
   the fsync-before-ack price per acknowledged batch.
 
-On hosts with fewer than 4 CPUs the worker count clamps toward 1 and every
-backend degenerates to the same inline path; the committed JSON from such a
-host is a single-core record (``config.cpu_count`` says so) and the
-multi-core acceptance assertion (process >= 1.5x serial) is gated
-accordingly, mirroring ``bench_query_engine.py``.
+On hosts with fewer than 4 CPUs the worker count clamps toward 1, so the
+committed JSON from such a host records few workers (``config.cpu_count``
+says how many cores) and the multi-core acceptance assertion (process >=
+1.5x serial) is gated accordingly, mirroring ``bench_query_engine.py``.
 
 Writes ``BENCH_stream.json`` (repo root).  Run directly::
 
@@ -57,8 +57,8 @@ from repro.streaming.traffic import zipf_traffic  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_stream.json"
 
-#: PR-8 acceptance floor on a real multi-core host: the process backend
-#: must beat the serial per-batch path by this factor on the large stream.
+#: PR-8 acceptance floor on a real multi-core host: the process pool must
+#: beat the serial per-batch path by this factor on the large stream.
 MIN_PROCESS_SPEEDUP = 1.5
 
 UNIVERSE = 100_000
@@ -97,7 +97,7 @@ def _time(fn, repeats: int):
 def bench_pipeline_backends(
     total_items: int, batch_items: int, repeats: int
 ) -> dict:
-    """items/sec: bare update_many vs pipeline on each shard backend."""
+    """items/sec: bare update_many vs the pipeline serial and on processes."""
     batches = _batches(total_items, batch_items)
     workers = max(1, min(4, os.cpu_count() or 1))
     spec = _spec()
@@ -108,11 +108,9 @@ def bench_pipeline_backends(
             summary.update_many(batch)
         return summary
 
-    def piped(backend: str, n_workers: int):
+    def piped(n_workers: int):
         def run():
-            pipeline = StreamPipeline(
-                spec, batch_items=batch_items, workers=n_workers, backend=backend
-            )
+            pipeline = StreamPipeline(spec, batch_items=batch_items, workers=n_workers)
             summary = pipeline.run(batches)
             return summary, pipeline.stats
 
@@ -135,16 +133,12 @@ def bench_pipeline_backends(
             "items_per_sec": total_items / bare_time,
         },
     }
-    for backend, n_workers in (
-        ("serial", 1),
-        ("thread", workers),
-        ("process", workers),
-    ):
-        seconds, (summary, stats) = _time(piped(backend, n_workers), repeats)
+    for label, n_workers in (("serial", 1), ("process", workers)):
+        seconds, (summary, stats) = _time(piped(n_workers), repeats)
         assert summary.to_bytes() == reference_bytes, (
-            f"{backend} pipeline diverged from the serial reference"
+            f"{label} pipeline diverged from the serial reference"
         )
-        result[backend] = {
+        result[label] = {
             "seconds": seconds,
             "items_per_sec": total_items / seconds,
             "batches": stats.batches,
@@ -153,11 +147,7 @@ def bench_pipeline_backends(
             "feed_wait_s": stats.feed_wait_s,
             "sketch_s": stats.sketch_s,
         }
-    result["speedup_thread"] = result["serial"]["seconds"] / result["thread"]["seconds"]
-    result["speedup_process"] = (
-        result["serial"]["seconds"] / result["process"]["seconds"]
-    )
-    result["speedup"] = result["speedup_process"]
+    result["speedup"] = result["serial"]["seconds"] / result["process"]["seconds"]
     return result
 
 
@@ -171,8 +161,7 @@ def bench_queue_behavior(total_items: int, batch_items: int) -> dict:
     batches = _batches(total_items, batch_items)
     queue_depth = 2
     pipeline = StreamPipeline(
-        _spec(), batch_items=batch_items, queue_depth=queue_depth,
-        workers=1, backend="serial",
+        _spec(), batch_items=batch_items, queue_depth=queue_depth, workers=1
     )
     began = time.perf_counter()
     pipeline.run(batches)
@@ -273,13 +262,13 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
         ),
     }
     backends = results["pipeline_backends"]
-    # PR-8 acceptance: with real cores to shard over, the process backend
+    # PR-8 acceptance: with real cores to shard over, the process pool
     # beats the serial per-batch path by >= 1.5x on the large stream.  On
-    # fewer cores the worker count clamps and all backends share the
-    # inline path, so the committed record documents the host instead.
+    # fewer cores the worker count clamps, so the committed record
+    # documents the host instead.
     if (os.cpu_count() or 1) >= 4:
-        assert backends["speedup_process"] >= MIN_PROCESS_SPEEDUP, (
-            f"process pipeline {backends['speedup_process']:.2f}x < "
+        assert backends["speedup"] >= MIN_PROCESS_SPEEDUP, (
+            f"process pipeline {backends['speedup']:.2f}x < "
             f"{MIN_PROCESS_SPEEDUP}x serial on a "
             f"{os.cpu_count()}-core host"
         )
@@ -303,10 +292,8 @@ def test_stream_pipeline_quick():
         f"\npipeline_backends: bare "
         f"{backends['bare_update_many']['items_per_sec']:,.0f} items/sec, "
         f"serial {backends['serial']['items_per_sec']:,.0f}, "
-        f"thread {backends['thread']['items_per_sec']:,.0f} "
-        f"({backends['speedup_thread']:.2f}x), "
         f"process {backends['process']['items_per_sec']:,.0f} "
-        f"({backends['speedup_process']:.2f}x) "
+        f"({backends['speedup']:.2f}x) "
         f"with {backends['config']['workers']} workers"
     )
     wal = record["results"]["durability_overhead"]
@@ -339,18 +326,15 @@ def main(argv: list[str] | None = None) -> int:
         f"  bare update_many "
         f"{backends['bare_update_many']['items_per_sec']:,.0f} items/sec"
     )
-    for backend in ("serial", "thread", "process"):
-        row = backends[backend]
+    for label in ("serial", "process"):
+        row = backends[label]
         print(
-            f"  {backend:<8} {row['items_per_sec']:,.0f} items/sec "
+            f"  {label:<8} {row['items_per_sec']:,.0f} items/sec "
             f"(queue depth <= {row['max_queue_depth']}, "
             f"feed wait {row['feed_wait_s']:.3f}s, "
             f"sketch {row['sketch_s']:.3f}s)"
         )
-    print(
-        f"  speedup: thread {backends['speedup_thread']:.2f}x, "
-        f"process {backends['speedup_process']:.2f}x"
-    )
+    print(f"  speedup: process {backends['speedup']:.2f}x")
     queue = record["results"]["queue_behavior"]
     print(
         f"queue_behavior (depth={queue['config']['queue_depth']}): "

@@ -32,8 +32,8 @@ Thirteen commands cover the library's everyday entry points:
   registry (name collisions fold shards via the merge rules);
 * ``stream``      -- ingest an unbounded item stream (stdin or file,
   text or raw u64) into a streaming summary with bounded memory: the
-  micro-batch pipeline sketches partitions in parallel on the shard
-  backends and folds partials via the merge rules, writing a sketch
+  micro-batch pipeline sketches partitions in parallel worker processes
+  and folds partials via the merge rules, writing a sketch
   file (``--out``) or pushing batches into a live daemon
   (``--connect``, the ``INGEST`` verb).
 
@@ -75,8 +75,6 @@ from .core import (
 )
 from .core.base import FrequencySketch
 from .db import Itemset, random_database
-from .db.backends import BACKEND_ENV, available_backends
-from .db.packed import KERNEL_ENV, available_kernels
 from .db.transactions import read_transactions
 from .experiments import EXPERIMENTS, format_table
 from .lowerbounds import (
@@ -133,17 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker count for the sharded batch evaluators (default: auto)",
     )
-    validate.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="shard executor: serial, thread, or shared-memory process pool "
-             "(default: auto escalation by sweep volume)",
-    )
-    validate.add_argument(
-        "--kernel", choices=available_kernels(), default=None,
-        help="kernel implementation tier: numpy or cffi-compiled native "
-             "(default: auto -- native when the compiled module is "
-             "available, else numpy)",
-    )
 
     attack = sub.add_parser("attack", help="run a lower-bound encoding attack")
     attack.add_argument("--theorem", choices=["13", "15"], default="13")
@@ -167,17 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker count for the sharded batch evaluators (default: auto)",
     )
-    mine.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="shard executor: serial, thread, or shared-memory process pool "
-             "(default: auto escalation by sweep volume)",
-    )
-    mine.add_argument(
-        "--kernel", choices=available_kernels(), default=None,
-        help="kernel implementation tier: numpy or cffi-compiled native "
-             "(default: auto -- native when the compiled module is "
-             "available, else numpy)",
-    )
 
     sketch = sub.add_parser(
         "sketch", help="build a sketch of a transaction file and write it to disk"
@@ -190,18 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     sketch.add_argument("--eps", type=float, default=0.1)
     sketch.add_argument("--delta", type=float, default=0.1)
     sketch.add_argument("--seed", type=int, default=0)
-    sketch.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="shard executor for the sketcher's kernel sweeps (sets "
-             "REPRO_EVAL_BACKEND for the duration of the command; "
-             "default: auto)",
-    )
-    sketch.add_argument(
-        "--kernel", choices=available_kernels(), default=None,
-        help="kernel implementation tier: numpy or cffi-compiled native "
-             "(default: auto -- native when the compiled module is "
-             "available, else numpy)",
-    )
     sketch.add_argument(
         "--compress", action="store_true",
         help="store a zlib-compressed v2 payload (the charged size_in_bits "
@@ -219,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "items", nargs="*", type=int,
         help="attribute indices of the queried itemset (empty = empty itemset)",
-    )
-    query.add_argument(
-        "--kernel", choices=available_kernels(), default=None,
-        help="kernel implementation tier: numpy or cffi-compiled native "
-             "(default: auto -- native when the compiled module is "
-             "available, else numpy)",
     )
     query.add_argument(
         "--connect", metavar="HOST:PORT", default=None,
@@ -337,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="ingest an unbounded item stream into a summary with bounded "
-             "memory (micro-batch pipeline over the shard backends)",
+             "memory (micro-batch pipeline over worker processes)",
     )
     stream.add_argument(
         "source",
@@ -379,11 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--workers", type=int, default=None,
-        help="partition-sketching workers per batch (default: auto)",
-    )
-    stream.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="shard executor for partition sketching (default: auto)",
+        help="partition-sketching worker processes per batch "
+             "(default: auto)",
     )
     stream.add_argument(
         "--out", default=None,
@@ -491,7 +446,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     db = random_database(args.n, args.d, 0.3, rng=args.seed)
     report = validate_sketcher(
         sketcher, db, params, trials=args.trials, rng=args.seed + 1,
-        workers=args.workers, backend=args.backend,
+        workers=args.workers,
     )
     print(
         f"{args.sketcher} on {task.value}: failure rate "
@@ -530,8 +485,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             db, params, rng=args.seed
         )
     frequent = apriori(
-        source, args.threshold, max_size=args.max_size, workers=args.workers,
-        backend=args.backend,
+        source, args.threshold, max_size=args.max_size, workers=args.workers
     )
     rows = [
         {"itemset": " ".join(map(str, t.items)), "frequency": round(f, 4)}
@@ -1080,7 +1034,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 batch_items=batch_items,
                 queue_depth=queue_depth,
                 workers=args.workers,
-                backend=args.backend,
             )
             began = time.perf_counter()
             summary = pipeline.run(batches)
@@ -1093,9 +1046,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     rate = stats.items / elapsed if elapsed > 0 else float("inf")
     print(
         f"wrote {args.out}: {type(summary).__name__} over {stats.items} items "
-        f"in {stats.batches} batches ({pipeline.workers} workers, "
-        f"{pipeline.backend.name} backend), payload {summary.size_in_bits()} "
-        f"bits, frame {frame_bytes} bytes, {rate:,.0f} items/sec"
+        f"in {stats.batches} batches ({pipeline.workers} workers), payload "
+        f"{summary.size_in_bits()} bits, frame {frame_bytes} bytes, "
+        f"{rate:,.0f} items/sec"
     )
     return 0
 
@@ -1181,33 +1134,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    # --backend / --kernel also become the process defaults for the
-    # duration of the command, so kernel sweeps nested inside sketchers
-    # (e.g. RELEASE-ANSWERS' precomputation during `sketch` or
-    # `validate` trials) run on the requested executor and kernel tier.
-    # Restored afterwards: library callers of main() keep their
-    # environment.
-    overrides = {
-        env: value
-        for env, value in (
-            (BACKEND_ENV, getattr(args, "backend", None)),
-            (KERNEL_ENV, getattr(args, "kernel", None)),
-        )
-        if value
-    }
-    if not overrides:
-        return _dispatch(args)
-    saved = {env: os.environ.get(env) for env in overrides}
-    os.environ.update(overrides)
-    try:
-        return _dispatch(args)
-    finally:
-        for env, old in saved.items():
-            if old is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = old
+    return _dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

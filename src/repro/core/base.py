@@ -106,10 +106,7 @@ class FrequencySketch(ABC):
         return self.estimate(itemset) >= INDICATOR_THRESHOLD_FACTOR * self._params.epsilon
 
     def estimate_batch(
-        self,
-        itemsets: Sequence[Itemset],
-        workers: int | None = None,
-        backend=None,
+        self, itemsets: Sequence[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Estimates for many itemsets as a float vector.
 
@@ -117,18 +114,14 @@ class FrequencySketch(ABC):
         store a queryable database (RELEASE-DB, SUBSAMPLE) override this
         with a single batched kernel sweep -- the reconstruction attacks
         and the validation/benchmark harnesses query through this surface.
-        ``workers`` shards that sweep and ``backend`` selects its executor
-        (serial / thread / shared-memory process pool) where the sketch
-        has a kernel to shard; both are ignored by stored-answer sketches,
-        whose batch path is a table lookup.
+        ``workers`` shards that sweep where the sketch has a kernel to
+        shard; stored-answer sketches, whose batch path is a table lookup,
+        ignore it.
         """
         return np.array([self.estimate(t) for t in itemsets], dtype=float)
 
     def indicate_batch(
-        self,
-        itemsets: Sequence[Itemset],
-        workers: int | None = None,
-        backend=None,
+        self, itemsets: Sequence[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Indicator answers for many itemsets as a boolean vector.
 

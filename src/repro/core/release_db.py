@@ -43,31 +43,25 @@ class ReleaseDbSketch(FrequencySketch):
         return self._db.frequency(itemset)
 
     def estimate_batch(
-        self,
-        itemsets: Sequence[Itemset],
-        workers: int | None = None,
-        backend=None,
+        self, itemsets: Sequence[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Exact frequencies for a whole query set (one kernel sweep).
 
-        ``workers`` shards the sweep; ``backend`` picks its executor.
+        ``workers`` shards the sweep.
         """
-        return self._db.frequencies(itemsets, workers=workers, backend=backend)
+        return self._db.frequencies(itemsets, workers=workers)
 
     def indicate_batch(
-        self,
-        itemsets: Sequence[Itemset],
-        workers: int | None = None,
-        backend=None,
+        self, itemsets: Sequence[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Thresholded exact frequencies, one (sharded) kernel sweep.
 
         Same answers as the base per-itemset loop -- ``indicate`` is
         exactly this threshold on ``estimate`` -- but batched, so
-        ``workers``/``backend`` actually shard indicator validation too.
+        ``workers`` actually shards indicator validation too.
         """
         threshold = INDICATOR_THRESHOLD_FACTOR * self._params.epsilon
-        return self.estimate_batch(itemsets, workers=workers, backend=backend) >= threshold
+        return self.estimate_batch(itemsets, workers=workers) >= threshold
 
     def support_mask(self, itemset: Itemset) -> np.ndarray:
         """Which stored rows contain ``itemset`` (row-major kernel)."""

@@ -91,7 +91,6 @@ def validate_sketcher(
     max_itemsets: int = 2000,
     rng: np.random.Generator | int | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> ValidationReport:
     """Estimate a sketcher's failure probability on ``db``.
 
@@ -101,10 +100,8 @@ def validate_sketcher(
     the true For-All failure rate, which the reports note).
 
     ``workers`` shards the batched kernel sweeps -- the exact ground-truth
-    evaluation and each trial's sketch queries -- and ``backend`` selects
-    the shard executor: serial, thread, or the shared-memory process pool
-    (``None`` = auto heuristics; results are identical for every worker
-    count and executor).
+    evaluation and each trial's sketch queries (``None`` = auto heuristic;
+    results are identical for every worker count).
 
     Raises
     ------
@@ -120,7 +117,7 @@ def validate_sketcher(
     gen = as_rng(rng)
     itemsets = _itemsets_to_check(params, max_itemsets, gen)
     oracle = FrequencyOracle(db)
-    truth = oracle.frequencies(itemsets, workers=workers, backend=backend)
+    truth = oracle.frequencies(itemsets, workers=workers)
     eps = params.epsilon
     task = sketcher.task
 
@@ -132,7 +129,7 @@ def validate_sketcher(
         sketch = sketcher.sketch(db, params, gen)
         if task.is_indicator:
             answers = np.asarray(
-                sketch.indicate_batch(itemsets, workers=workers, backend=backend),
+                sketch.indicate_batch(itemsets, workers=workers),
                 dtype=bool,
             )
             must_be_one = truth > eps
@@ -140,7 +137,7 @@ def validate_sketcher(
             bad = (must_be_one & ~answers) | (must_be_zero & answers)
         else:
             answers = np.asarray(
-                sketch.estimate_batch(itemsets, workers=workers, backend=backend),
+                sketch.estimate_batch(itemsets, workers=workers),
                 dtype=float,
             )
             bad = np.abs(answers - truth) > eps + 1e-12

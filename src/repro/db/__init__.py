@@ -41,60 +41,42 @@ correspondence, reconstruction-attack diagnostics, and streaming row
 ingestion (reservoirs, the itemset miner) run here -- streamed rows are
 stored and gathered in this layout without re-packing.
 
-**Sharding and executor backends** -- the batched evaluators of both
-kernels take ``workers=`` (shard count; ``None`` auto-resolves, clamped to
-``os.cpu_count()``, ``REPRO_WORKERS`` overrides) and ``backend=`` (where
-the shards run; ``REPRO_EVAL_BACKEND`` overrides).  Three executors are
-registered in :mod:`repro.db.backends`:
+**Sharding** -- the batched evaluators of both kernels take ``workers=``,
+the only execution setting (``None`` auto-resolves: serial for small
+sweeps, else one shard per core, always clamped to ``os.cpu_count()``).
+Shards are contiguous slices of one preallocated output running the same
+kernel code, so results are bit-identical for every worker count, which
+the differential suites in ``tests/test_parallel_eval.py`` enforce.
+Where the shards run is decided by the kind of job, not by a setting
+(:mod:`repro.db.backends`):
 
-* ``"serial"`` -- one inline kernel call.  The baseline every other
-  backend must match bit-for-bit; also what every backend degenerates to
-  when the resolved worker count is 1.
-* ``"thread"`` -- shared-memory threads.  Zero setup cost; scales
-  wherever numpy releases the GIL (the hot AND / popcount ops).  The
-  right choice for mid-sized sweeps and the default escalation step.
-* ``"process"`` -- a persistent worker-process pool over named
-  :mod:`multiprocessing.shared_memory` blocks.  The packed word arrays
-  are published once per sweep; workers reattach by ``(shm_name, shape,
-  dtype)`` and write a shared output block, so no row data or results are
-  ever pickled.  Pays ~milliseconds of publication overhead, so it is
-  for the largest sweeps -- full ``C(d, k)`` enumerations at big ``n`` --
-  where Python-level orchestration, not numpy, bounds thread scaling.
+* **Query sweeps run inline or on threads.**  The AND / popcount calls
+  release the GIL, so threads share the packed words in place.  Measured
+  with 2 workers on a 2-vCPU host, the ``C(28, 4)`` sweep over 65,536
+  rows took 40 ms on threads and 67 ms on a shared-memory process pool
+  with the native kernels (104 vs 139 ms with numpy).
+* **Stream-pipeline partials run inline or on the shared-memory process
+  pool** (:mod:`repro.streaming.pipeline`).  Building a summary partial
+  is Python-level work that holds the GIL, so with 2 workers processes
+  sketch Misra-Gries, Space-Saving and reservoir partials 1.6-1.9x
+  faster than threads (Count-Min about even).
 
-``backend=None`` escalates serial -> thread -> process automatically by
-estimated word-op volume (process above
-:data:`~repro.db.backends.PROCESS_MIN_WORDS` word ops, where ``fork`` is
-available).  Results are bit-identical for every worker count and every
-executor -- shards are contiguous slices of one preallocated output
-running the same kernel code -- which the differential suites in
-``tests/test_parallel_eval.py`` enforce.  Pick explicitly when profiling:
-``backend="thread"`` to avoid process startup in short-lived scripts,
-``backend="process"`` to force multi-core throughput for repeated large
-sweeps (the pool and its workers are reused across calls).
+**Kernel implementation tiers** -- *what runs inside* each shard follows
+from the host (:func:`~repro.db.packed.resolve_kernel`):
 
-**Kernel implementation tiers** -- orthogonal to *where* shards run is
-*what runs inside* each shard.  The same evaluators take ``kernel=``
-(``REPRO_EVAL_KERNEL`` overrides; ``repro ... --kernel`` on the CLI),
-selecting from a two-entry registry in :mod:`repro.db.packed`:
-
-* ``"numpy"`` -- the vectorized numpy kernels above.  Always available;
-  the bit-for-bit reference implementation.
 * ``"native"`` -- cffi-compiled C (``_kernels.c``): single fused
   AND + ``POPCNT`` passes with no intermediate mask matrices, prefix
   hoisting in the combination sweep, word-at-a-time early-exit row
   containment.  Compiled at install time (``REPRO_BUILD_NATIVE=1 pip
-  install .[native]``) or on first use into a per-source-hash cache;
-  no cffi or no compiler degrades to ``"numpy"`` -- silently under
-  ``auto``, with a one-time :class:`RuntimeWarning` when requested
-  explicitly, never an error.  The C calls release the GIL, so the
-  ``thread`` backend scales on this tier even where numpy would
-  serialize.
+  install .[native]``) or on first use into a per-source-hash cache.
+  Used whenever the compiled module loads, so installing the
+  ``[native]`` extra is the whole opt-in.
+* ``"numpy"`` -- the vectorized numpy kernels above, the bit-for-bit
+  reference.  Used when there is no cffi or no C compiler, never as an
+  error.
 
-The full matrix is 2 kernel tiers x 3 backends (x any worker count),
-every cell bit-identical -- enforced by the numpy-vs-native
-differential suite in ``tests/test_native_kernels.py``.  ``kernel=None``
-(auto) uses native whenever the compiled module loads, so installing
-the ``[native]`` extra is the whole opt-in.
+Both tiers are bit-identical for every worker count, enforced by the
+numpy-vs-native differential suite in ``tests/test_native_kernels.py``.
 
 Wire format
 -----------
@@ -139,14 +121,6 @@ invariant -- ``n_bits`` is always the uncompressed payload length.
   nonzero padding all raise :class:`~repro.errors.WireFormatError`.
 """
 
-from .backends import (
-    ProcessBackend,
-    SerialBackend,
-    ShardBackend,
-    ThreadBackend,
-    available_backends,
-    get_backend,
-)
 from .database import BinaryDatabase
 from .generators import (
     correlated_database,
@@ -161,7 +135,6 @@ from .itemset import Itemset, all_itemsets, rank_itemset, unrank_itemset
 from .packed import (
     PackedColumns,
     PackedRows,
-    available_kernels,
     pack_columns,
     pack_rows,
     popcount_words,
@@ -192,13 +165,6 @@ __all__ = [
     "unrank_itemset",
     "PackedColumns",
     "PackedRows",
-    "ShardBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "available_backends",
-    "get_backend",
-    "available_kernels",
     "resolve_kernel",
     "pack_columns",
     "pack_rows",

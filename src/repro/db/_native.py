@@ -4,11 +4,10 @@
 compiled extension, or ``None`` when the native tier cannot be built --
 and it **never raises**: no cffi, no C compiler, an unwritable cache
 directory, or a failed build all degrade to ``None`` with the reason
-recorded (:func:`unavailable_reason`).  The kernel dispatch layer in
-:mod:`repro.db.packed` falls back to the numpy tier in that case,
-warning once only when the native tier was *explicitly* requested
-(``kernel="native"`` or ``REPRO_EVAL_KERNEL=native``); the ``auto``
-tier falls back silently.
+recorded (:func:`unavailable_reason`).  The tier is not a setting: the
+kernel dispatch in :mod:`repro.db.packed` runs these kernels whenever
+:func:`available` is true and the numpy kernels otherwise, and the
+answers are bit-identical either way.
 
 Where the extension comes from, in order:
 
@@ -20,15 +19,15 @@ Where the extension comes from, in order:
    cache, and CI caches this directory between runs.
 3. A fresh cffi compile into that cache: built in a private temporary
    subdirectory, then atomically renamed into place, so concurrent
-   first-use compiles (e.g. spawn-context pool workers) cannot observe a
-   half-written extension.
+   first-use compiles (e.g. two processes sharing the cache) cannot
+   observe a half-written extension.
 
 The compiled functions are plain C over raw pointers; cffi releases the
-GIL around every call, which is what lets the ``thread`` shard backend
-scale on the native tier.  :class:`NativeKernels` validates dtype and
-contiguity before handing out ``arr.ctypes.data`` pointers -- the shard
-kernels in :mod:`repro.db.packed` always satisfy both, but a raw-pointer
-API must not trust its callers silently.
+GIL around every call, which is what lets sharded sweeps scale on
+threads.  :class:`NativeKernels` validates dtype and contiguity before
+handing out ``arr.ctypes.data`` pointers -- the shard kernels in
+:mod:`repro.db.packed` always satisfy both, but a raw-pointer API must
+not trust its callers silently.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import sys
 import sysconfig
 import tempfile
 import threading
-import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "available",
     "load",
     "unavailable_reason",
-    "warn_unavailable",
     "NATIVE_CACHE_ENV",
 ]
 
@@ -62,7 +60,7 @@ NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
 _LOCK = threading.Lock()
 
 #: Lazy singleton state: resolved at most once per process.
-_STATE: dict = {"checked": False, "lib": None, "reason": None, "warned": False}
+_STATE: dict = {"checked": False, "lib": None, "reason": None}
 
 
 class NativeKernels:
@@ -237,21 +235,30 @@ def unavailable_reason() -> str | None:
     return _STATE["reason"]
 
 
-def warn_unavailable() -> None:
-    """One-time warning that an explicit native request fell back to numpy."""
-    if _STATE["warned"]:
-        return
-    _STATE["warned"] = True
-    warnings.warn(
-        "native kernel tier requested but unavailable "
-        f"({unavailable_reason() or 'unknown reason'}); "
-        "falling back to the numpy kernels",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def _reset_for_tests() -> None:
     """Forget the cached resolution (test hook; not public API)."""
     with _LOCK:
-        _STATE.update(checked=False, lib=None, reason=None, warned=False)
+        _STATE.update(checked=False, lib=None, reason=None)
+
+
+@contextmanager
+def _forced_unavailable_for_tests():
+    """Load as on a host without cffi or a compiler (test hook; not public API).
+
+    Inside the block the loader's import step fails and the cached probe
+    is reset, so every sweep runs the numpy kernels; on exit the probe is
+    reset again and later code sees the real tier.
+    """
+    global _load_impl
+
+    def _import_fails() -> NativeKernels:
+        raise ImportError("forced: native module not importable")
+
+    saved = _load_impl
+    _load_impl = _import_fails
+    _reset_for_tests()
+    try:
+        yield
+    finally:
+        _load_impl = saved
+        _reset_for_tests()

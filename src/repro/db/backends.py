@@ -1,111 +1,76 @@
-"""Pluggable shard-executor backends for the packed query kernels.
+"""Shard executors: threads for query sweeps, a process pool for partials.
 
-The sharded evaluators in :mod:`repro.db.packed` split a batch index range
-into contiguous shards and run one kernel function ``kernel(arrays, outs,
-lo, hi, params)`` per shard, each writing a disjoint slice of a
-preallocated output.  This module supplies the *executors* that run those
-shards, behind one :class:`ShardBackend` interface:
+The sharded evaluators in :mod:`repro.db.packed` and the stream pipeline
+in :mod:`repro.streaming.pipeline` split an index range into contiguous
+shards and run one kernel function ``kernel(arrays, outs, lo, hi,
+params)`` per shard, each writing a disjoint slice of a preallocated
+output, so the answer cannot depend on the shard count or on where the
+shards run.  ``workers`` is the only setting; the executor follows from
+the kind of job, each chosen by measurement (2-vCPU host, 2 workers):
 
-* :class:`SerialBackend` (``"serial"``) -- one inline call over the full
-  range.  Every other backend degenerates to exactly this call when the
-  resolved worker count is 1, so results cannot depend on the backend.
-* :class:`ThreadBackend` (``"thread"``) -- a shared-memory
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Scales wherever numpy
-  releases the GIL (the hot AND / popcount ops); zero setup cost.
-* :class:`ProcessBackend` (``"process"``) -- a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` over
-  :mod:`multiprocessing.shared_memory`.  Input arrays are published once
-  into named shared-memory blocks; workers reattach by ``(shm_name,
-  shape, dtype)`` and run the identical kernel writing into a shared
-  output block, so **no row data or results are ever pickled** -- only
-  descriptor tuples and scalar params cross the process boundary.  This
-  is the backend for sweeps large enough that Python-level shard
-  orchestration, not numpy, is the bottleneck.
-
-Backend selection
------------------
-:func:`resolve_backend` picks the executor: an explicit ``backend=``
-argument (name or instance) wins, then the ``REPRO_EVAL_BACKEND``
-environment variable, then an auto heuristic that escalates serial ->
-thread -> process by estimated shard word-op volume (process only above
-:data:`PROCESS_MIN_WORDS` and only where the ``fork`` start method is
-available, so child processes inherit the parent's modules without
-re-import).  Forcing ``REPRO_EVAL_BACKEND=process`` routes every sharded
-sweep through shared memory -- CI uses this (together with
-``REPRO_WORKERS``) to run the kernel differential suites on the process
-path.
-
-Backends are orthogonal to **kernel implementation tiers**
-(``REPRO_EVAL_KERNEL`` / ``kernel=``, resolved in
-:mod:`repro.db.packed`): the backend decides *where* shards run, the
-kernel tier decides *what code* each shard executes -- the vectorized
-numpy kernels or the cffi-compiled C kernels.  Every backend runs either
-tier unchanged, because both are plain module-level functions with the
-``ShardKernel`` signature (process workers import them by qualified
-name, and the native functions re-resolve the compiled library inside
-the worker).  Notably, the C kernels release the GIL for the whole call,
-so :class:`ThreadBackend` scales on the native tier even in regions
-where numpy would hold the lock.
+* :func:`run_threaded` runs **query sweeps**: inline for one worker, else
+  on a :class:`~concurrent.futures.ThreadPoolExecutor` over the shared
+  arrays.  The sweep's time goes to calls that release the GIL (the cffi
+  C kernels, numpy's AND and popcount loops), so threads scale with no
+  copying.  The ``C(28, 4)`` sweep over 65,536 rows took 40 ms on threads
+  and 67 ms on the process pool with the native kernels (104 vs 139 ms
+  with numpy): publishing the packed words costs more than processes
+  save.
+* :class:`ProcessBackend` runs **stream-pipeline partials**: a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` over named
+  :mod:`multiprocessing.shared_memory` blocks.  Building a summary partial
+  is Python-level work under the GIL, so processes win there: over 1 M
+  Zipf items in 131,072-item batches, Misra-Gries took 267 ms against
+  422 ms on threads, Space-Saving 1.6 s against 3.1 s, and reservoir
+  sampling 1.6 s against 2.9 s (Count-Min about even, 170 vs 189 ms).
+  Input arrays are published once per run; workers reattach by
+  ``(shm_name, shape, dtype)`` and write a shared output block, so **no
+  row data or results are ever pickled** -- only descriptor tuples and
+  scalar params cross the process boundary.  :data:`PROCESS_POOL` is the
+  instance the pipelines share.
 
 Lifecycle
 ---------
 Shared-memory blocks are created per ``run`` call and unconditionally
 closed and unlinked in a ``finally`` block, worker exceptions included --
-a failed sweep leaves nothing in ``/dev/shm``.  Workers attach without
+a failed run leaves nothing in ``/dev/shm``.  Workers attach without
 resource-tracker registration (the parent owns the segments; on Python <
 3.13 the tracker would otherwise double-count attachments), and drop
 their numpy views before closing.  The worker pool itself is lazily
-created, reused across calls to amortize startup, grown on demand, and
-torn down by :meth:`ProcessBackend.shutdown` or interpreter exit.
+created, reused across calls to amortize startup, grown on demand,
+rebuilt after a worker dies, and torn down by
+:meth:`ProcessBackend.shutdown` or interpreter exit.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import secrets
 import sys
 import threading
-from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context, shared_memory
+from multiprocessing import get_context, shared_memory
 from typing import Callable, Mapping
 
 import numpy as np
 
-from ..errors import ParameterError
-
 __all__ = [
     "ShardJob",
-    "ShardBackend",
-    "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
+    "PROCESS_POOL",
+    "run_threaded",
     "shard_edges",
-    "BACKEND_ENV",
-    "PROCESS_MIN_WORDS",
     "SHM_PREFIX",
 ]
-
-#: Environment override for the backend choice (name from the registry).
-BACKEND_ENV = "REPRO_EVAL_BACKEND"
-
-#: Auto heuristic: escalate thread -> process at this many estimated
-#: uint64 word operations.  Below it, shared-memory publication and
-#: process dispatch cost more than the GIL-free threads they replace.
-PROCESS_MIN_WORDS = 1 << 25
 
 #: Name prefix for every shared-memory block this module creates; tests
 #: scan ``/dev/shm`` for it to assert cleanup.
 SHM_PREFIX = "repro_shm_"
 
-#: Kernel signature shared by all sharded evaluators: read-only input
-#: arrays, preallocated outputs, a contiguous index range, scalar params.
+#: Kernel signature shared by all sharded jobs: read-only input arrays,
+#: preallocated outputs, a contiguous index range, scalar params.
 ShardKernel = Callable[
     [Mapping[str, np.ndarray], Mapping[str, np.ndarray], int, int, Mapping], None
 ]
@@ -113,10 +78,10 @@ ShardKernel = Callable[
 
 @dataclass
 class ShardJob:
-    """One sharded sweep: a kernel plus the arrays it reads and writes.
+    """One sharded run: a kernel plus the arrays it reads and writes.
 
-    ``kernel`` must be a module-level function (the process backend ships
-    it by qualified name); ``arrays`` are read-only inputs, ``outs``
+    ``kernel`` must be a module-level function (the process pool ships it
+    by qualified name); ``arrays`` are read-only inputs, ``outs``
     preallocated outputs whose disjoint ``[lo:hi]`` slices the shards
     fill, ``params`` picklable scalars, and ``total`` the index range
     being sharded.
@@ -139,53 +104,19 @@ def shard_edges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
-class ShardBackend(ABC):
-    """Executor interface for sharded kernel sweeps.
-
-    The contract every backend must keep: shards are contiguous slices of
-    one output running the same kernel code on the same data, so results
-    are bit-identical to :class:`SerialBackend` for every worker count.
-    """
-
-    #: Registry name ("serial", "thread", "process").
-    name: str = "abstract"
-
-    @abstractmethod
-    def run(self, job: ShardJob, workers: int) -> None:
-        """Execute ``job`` over at most ``workers`` shards."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class SerialBackend(ShardBackend):
-    """Inline execution: one kernel call over the full range."""
-
-    name = "serial"
-
-    def run(self, job: ShardJob, workers: int) -> None:
-        """Run the whole range in the calling thread (ignores ``workers``)."""
+def run_threaded(job: ShardJob, workers: int) -> None:
+    """Run ``job`` over at most ``workers`` thread shards (1 runs inline)."""
+    workers = min(workers, job.total)
+    if workers <= 1:
         job.run_slice(0, job.total)
-
-
-class ThreadBackend(ShardBackend):
-    """Shared-memory threads (the PR-2 path): zero-copy, GIL-bound set-up."""
-
-    name = "thread"
-
-    def run(self, job: ShardJob, workers: int) -> None:
-        """Shard over a thread pool; ``workers <= 1`` degenerates to serial."""
-        workers = min(workers, job.total) if job.total else 1
-        if workers <= 1:
-            job.run_slice(0, job.total)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(job.run_slice, lo, hi)
-                for lo, hi in shard_edges(job.total, workers)
-            ]
-            for future in futures:
-                future.result()
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(job.run_slice, lo, hi)
+            for lo, hi in shard_edges(job.total, workers)
+        ]
+        for future in futures:
+            future.result()
 
 
 def _attach_untracked(shm_name: str) -> shared_memory.SharedMemory:
@@ -250,11 +181,11 @@ def _shard_entry(
 
 
 class _ShmPublisher:
-    """Parent-side shared-memory lifecycle for one sweep.
+    """Parent-side shared-memory lifecycle for one run.
 
     Publishes arrays into fresh named blocks and guarantees close+unlink
     on every exit path via :meth:`cleanup` (called from the backend's
-    ``finally``), so a failed sweep leaves no segments behind.
+    ``finally``), so a failed run leaves no segments behind.
     """
 
     def __init__(self) -> None:
@@ -287,63 +218,52 @@ class _ShmPublisher:
         self._segments.clear()
 
 
-class ProcessBackend(ShardBackend):
+class ProcessBackend:
     """Process-pool execution over named shared-memory blocks.
 
-    Parameters
-    ----------
-    context:
-        Multiprocessing start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); ``None`` uses the platform default.  Spawned
-        workers re-import :mod:`repro`, so the package must be importable
-        in child processes (``PYTHONPATH`` is inherited).
-    max_workers:
-        Hard cap on pool size (``None`` = grow to the requested shard
-        count, itself capped at ``os.cpu_count()`` by
-        :func:`repro.db.packed.resolve_workers`).
+    Workers start with the ``spawn`` method.  A forked worker inherits
+    every lock another thread of the parent held at the fork: ``repro
+    stream -`` forks while its main thread blocks in a read of stdin, and
+    each forked worker then hung for good when multiprocessing closed
+    that stdin at worker start.  Spawned workers re-import :mod:`repro`
+    (``sys.path`` and the environment are passed on) to unpickle their
+    entry point and kernel, about 0.3 s of start-up per worker, once per
+    pool; that path imports no scipy, which would add about 1.1 s.
 
-    The pool is created lazily on first use and reused across sweeps;
-    shared-memory blocks are per-sweep and always unlinked, error paths
-    included.
+    The pool is created lazily on first use and reused across runs; it
+    grows to the largest shard count asked of it.  Shared-memory blocks
+    are per-run and always unlinked, error paths included.
     """
 
-    name = "process"
-
-    def __init__(self, context: str | None = None, max_workers: int | None = None) -> None:
-        self._context = context
-        self._max_workers = max_workers
+    def __init__(self) -> None:
         self._pool: ProcessPoolExecutor | None = None
         self._pool_workers = 0
         self._lock = threading.Lock()
 
-    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
-        with self._lock:
-            return self._ensure_pool_locked(workers)
-
     def _ensure_pool_locked(self, workers: int) -> ProcessPoolExecutor:
         """Pool with capacity for ``workers`` shards; caller holds ``_lock``."""
-        if self._max_workers is not None:
-            workers = min(workers, self._max_workers)
         if self._pool is not None and self._pool_workers < workers:
-            # Growing waits for in-flight sweeps to drain (their shards
+            # Growing waits for in-flight runs to drain (their shards
             # were submitted under the lock, so none can hit the old pool
             # after this point).
             self._pool.shutdown(wait=True)
             self._pool = None
         if self._pool is None:
-            ctx = get_context(self._context)
-            self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+            self._pool = ProcessPoolExecutor(
+                max_workers=workers, mp_context=get_context("spawn")
+            )
             self._pool_workers = workers
         return self._pool
 
     def run(self, job: ShardJob, workers: int) -> None:
         """Publish inputs and outputs once, fan shards out, copy results back.
 
-        ``workers <= 1`` (or an empty range) runs inline -- identical to
-        :class:`SerialBackend` -- so forcing the backend never changes
-        results, only where multi-shard sweeps execute.
+        ``workers <= 1`` (or an empty range) runs inline in the calling
+        thread, so the pool is only ever asked for multi-shard runs.
+        A dead worker raises :class:`BrokenProcessPool` and drops the
+        pool, so the next run starts a fresh one.
         """
-        workers = min(workers, job.total) if job.total else 1
+        workers = min(workers, job.total)
         if workers <= 1:
             job.run_slice(0, job.total)
             return
@@ -357,13 +277,13 @@ class ProcessBackend(ShardBackend):
             for name, out in job.outs.items():
                 # publish() copies the (uninitialized) output buffer too;
                 # that memcpy is the price of one code path, and outputs
-                # are small relative to sweeps worth sharding.
+                # are small relative to the inputs.
                 desc, view = publisher.publish(out)
                 out_descs[name] = desc
                 out_views[name] = view
-            # Submitting under the lock pins the pool for this sweep: a
+            # Submitting under the lock pins the pool for this run: a
             # concurrent run() that needs a bigger pool replaces it only
-            # between sweeps, never under one (its shutdown(wait=True)
+            # between runs, never under one (its shutdown(wait=True)
             # drains these shards first).
             with self._lock:
                 pool = self._ensure_pool_locked(workers)
@@ -384,7 +304,7 @@ class ProcessBackend(ShardBackend):
                     future.result()
             except BrokenProcessPool:
                 # A dead worker poisons the whole executor; drop it so the
-                # next sweep gets a fresh pool instead of the same error.
+                # next run gets a fresh pool instead of the same error.
                 with self._lock:
                     if self._pool is pool:
                         self._pool = None
@@ -404,82 +324,10 @@ class ProcessBackend(ShardBackend):
                 self._pool_workers = 0
 
 
-_REGISTRY: dict[str, ShardBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-@atexit.register
-def _shutdown_registered_backends() -> None:
-    """Tear down singleton pools at interpreter exit.
-
-    Long-lived hosts -- the sketch server, notebook kernels, a CLI killed
-    by SIGTERM mid-sweep -- must not orphan pool workers or shared-memory
-    segments.  Per-run cleanup already unlinks segments in a ``finally``,
-    so this only has to retire the lazily-created worker pools; it runs
-    before ``concurrent.futures``' own atexit hook joins leftover
-    processes.
-    """
-    with _REGISTRY_LOCK:
-        backends = list(_REGISTRY.values())
-    for backend in backends:
-        shutdown = getattr(backend, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by ``backend=`` and ``REPRO_EVAL_BACKEND``."""
-    return ("serial", "thread", "process")
-
-
-def get_backend(name: str) -> ShardBackend:
-    """The shared singleton backend registered under ``name``.
-
-    Raises
-    ------
-    ParameterError
-        If ``name`` is not one of :func:`available_backends`.
-    """
-    if name not in available_backends():
-        raise ParameterError(
-            f"unknown shard backend {name!r}; expected one of {available_backends()}"
-        )
-    with _REGISTRY_LOCK:
-        backend = _REGISTRY.get(name)
-        if backend is None:
-            backend = {
-                "serial": SerialBackend,
-                "thread": ThreadBackend,
-                "process": ProcessBackend,
-            }[name]()
-            _REGISTRY[name] = backend
-        return backend
-
-
-def _fork_available() -> bool:
-    return "fork" in get_all_start_methods()
-
-
-def resolve_backend(
-    backend: str | ShardBackend | None, word_ops: int, workers: int
-) -> ShardBackend:
-    """Pick the executor for a sweep of ``word_ops`` over ``workers`` shards.
-
-    Explicit ``backend`` (instance or registry name) wins, then the
-    ``REPRO_EVAL_BACKEND`` environment variable, then the auto heuristic:
-    serial for single-worker sweeps, process above
-    :data:`PROCESS_MIN_WORDS` word operations (where ``fork`` is
-    available), thread in between.
-    """
-    if isinstance(backend, ShardBackend):
-        return backend
-    if backend is not None:
-        return get_backend(backend)
-    env = os.environ.get(BACKEND_ENV)
-    if env is not None:
-        return get_backend(env)
-    if workers <= 1:
-        return get_backend("serial")
-    if word_ops >= PROCESS_MIN_WORDS and _fork_available():
-        return get_backend("process")
-    return get_backend("thread")
+#: The pool every stream pipeline shares.  Its workers start on first use
+#: and are reused across runs.  Long-lived hosts -- the sketch server, a
+#: ``repro stream`` killed by SIGTERM -- must not orphan them, so
+#: interpreter exit retires the pool (per-run cleanup already unlinks
+#: every shared-memory block).
+PROCESS_POOL = ProcessBackend()
+atexit.register(PROCESS_POOL.shutdown)

@@ -161,21 +161,15 @@ class BinaryDatabase:
         return self.support(itemset) / self.n
 
     def frequencies(
-        self,
-        itemsets: Iterable[Itemset],
-        workers: int | None = None,
-        backend=None,
+        self, itemsets: Iterable[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Vector of frequencies for several itemsets (one batched kernel call).
 
-        ``workers`` shards the sweep and ``backend`` selects the shard
-        executor (``None`` = auto heuristics; results are bit-identical
-        for every worker count and executor).
+        ``workers`` shards the sweep (``None`` = auto heuristic; results
+        are bit-identical for every worker count).
         """
         return (
-            self.packed.supports_batch(
-                [t.items for t in itemsets], workers=workers, backend=backend
-            )
+            self.packed.supports_batch([t.items for t in itemsets], workers=workers)
             / self.n
         )
 

@@ -35,45 +35,30 @@ Popcounts go through :func:`numpy.bitwise_count` when available
 
 Sharded evaluation
 ------------------
-The batched evaluators accept a ``workers=`` parameter: the combination /
-query index is split into contiguous shards, each running one of the
-module-level kernel functions below over a disjoint slice of a
-preallocated output, so results are bit-identical for every worker count
-and every executor.  *Where* the shards execute is pluggable through the
-``backend=`` parameter (see :mod:`repro.db.backends`): ``"serial"`` runs
-inline, ``"thread"`` uses a shared-memory thread pool (numpy releases the
-GIL in the hot AND / popcount ops), and ``"process"`` publishes the
-packed word arrays into named :mod:`multiprocessing.shared_memory` blocks
-and fans shards out to a worker-process pool -- no row data or results
-are ever pickled.  ``backend=None`` applies an auto heuristic that
-escalates serial -> thread -> process by estimated word-op volume; the
-``REPRO_EVAL_BACKEND`` environment variable overrides it.
-
-``workers=None`` applies the worker-count auto heuristic -- serial below
-:data:`PARALLEL_MIN_WORDS` estimated word-operations or on a single-core
-host, else one worker per core (capped) -- so small problems never pay
-dispatch.  The ``REPRO_WORKERS`` environment variable overrides the
-heuristic (used by CI to force the sharded path); explicit and
-environment worker counts are both clamped to ``os.cpu_count()`` so an
-oversized request cannot oversubscribe the shard pool.
+The batched evaluators accept a ``workers=`` parameter, the only
+execution setting: the combination / query index is split into
+contiguous shards, each running one of the module-level kernel functions
+below over a disjoint slice of a preallocated output, so results are
+bit-identical for every worker count.  Shards run inline for one worker
+and on threads otherwise (:func:`~repro.db.backends.run_threaded`); the
+hot AND / popcount calls release the GIL, so threads scale without
+copying the packed words anywhere.  ``workers=None`` applies the auto
+heuristic -- serial below :data:`PARALLEL_MIN_WORDS` estimated
+word-operations or on a single-core host, else one worker per core
+(capped) -- so small problems never pay dispatch.  Every count is
+clamped to ``os.cpu_count()``, so an oversized request cannot
+oversubscribe the host.
 
 Kernel implementations
 ----------------------
-*What code* evaluates each shard is a second, orthogonal axis: the
-``kernel=`` parameter selects the kernel implementation from a two-entry
-registry -- ``"numpy"`` (the vectorized kernels in this module) or
-``"native"`` (cffi-compiled C in :mod:`repro.db._native`: fused
-AND + popcount with no intermediate mask matrices, prefix-sharing leaf
-sweeps, word-at-a-time early-exit containment).  Resolution precedence is
-explicit ``kernel=`` parameter > the ``REPRO_EVAL_KERNEL`` environment
-variable > ``"auto"``, which uses the native tier whenever the compiled
-module imports cleanly and the numpy tier otherwise.  An explicit
-``"native"`` request without a usable compiler degrades to numpy with a
-one-time :class:`RuntimeWarning`, never an error.  Both implementations
-are bit-identical for every kernel, worker count, and backend (the
-differential suite in ``tests/test_native_kernels.py`` is the gate), and
-the native kernels release the GIL, so ``backend="thread"`` scales on
-them where the numpy tier is GIL-bound outside its vectorized ops.
+*What code* evaluates each shard follows from the host: the cffi-compiled
+C kernels of :mod:`repro.db._native` (fused AND + popcount with no
+intermediate mask matrices, prefix-sharing leaf sweeps, word-at-a-time
+early-exit containment) whenever that module loads, and the vectorized
+numpy kernels in this module otherwise -- no cffi, no compiler.
+:func:`resolve_kernel` reports which tier runs.  Both tiers are
+bit-identical for every kernel and worker count; the differential suite
+in ``tests/test_native_kernels.py`` is the gate.
 """
 
 from __future__ import annotations
@@ -87,7 +72,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import ParameterError
-from .backends import ShardBackend, ShardJob, ShardKernel, resolve_backend
+from . import _native
+from .backends import ShardJob, ShardKernel, run_threaded
 
 __all__ = [
     "PackedColumns",
@@ -100,9 +86,7 @@ __all__ = [
     "combination_index_array",
     "resolve_workers",
     "resolve_kernel",
-    "available_kernels",
     "PARALLEL_MIN_WORDS",
-    "KERNEL_ENV",
 ]
 
 #: Bits per packed word.
@@ -226,76 +210,30 @@ PARALLEL_MIN_WORDS = 1 << 17
 #: Auto heuristic never spawns more threads than this, however many cores.
 _MAX_AUTO_WORKERS = 8
 
-#: Environment override (CI forces the sharded path with REPRO_WORKERS=2).
-_WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment override for the kernel implementation (``auto`` /
-#: ``numpy`` / ``native``); CI forces the native tier with it.
-KERNEL_ENV = "REPRO_EVAL_KERNEL"
+def resolve_kernel() -> str:
+    """The tier that runs: ``"native"`` if the compiled module loads, else ``"numpy"``.
 
-
-def available_kernels() -> tuple[str, ...]:
-    """Names accepted by ``kernel=`` and ``REPRO_EVAL_KERNEL``."""
-    return ("auto", "numpy", "native")
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """Resolve a kernel request to the implementation that will run.
-
-    Returns ``"numpy"`` or ``"native"``.  Precedence: explicit ``kernel``
-    argument > the ``REPRO_EVAL_KERNEL`` environment variable > ``auto``.
-    ``auto`` picks the native tier when the cffi-compiled module loads
-    (building it on first use) and numpy otherwise; an explicit
-    ``"native"`` request that cannot be satisfied -- no cffi, no C
-    compiler -- degrades to numpy with a one-time warning, never an
-    error, so forcing the native tier is always safe.
-
-    Raises
-    ------
-    ParameterError
-        If the name is not one of :func:`available_kernels`.
+    The first call builds the native module if needed; a host without
+    cffi or a C compiler gets the numpy kernels, never an error.
     """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or "auto"
-    if kernel not in available_kernels():
-        raise ParameterError(
-            f"unknown kernel impl {kernel!r}; expected one of {available_kernels()}"
-        )
-    if kernel == "numpy":
-        return "numpy"
-    from . import _native
-
-    if _native.available():
-        return "native"
-    if kernel == "native":
-        _native.warn_unavailable()
-    return "numpy"
+    return "native" if _native.available() else "numpy"
 
 
 def resolve_workers(workers: int | None, word_ops: int) -> int:
     """Worker count for a sweep of ~``word_ops`` uint64 operations.
 
-    Explicit ``workers`` (or the ``REPRO_WORKERS`` environment variable)
-    wins; ``None`` applies the auto heuristic: serial below
-    :data:`PARALLEL_MIN_WORDS` or on a single-core host, else one worker
-    per core capped at 8.  Every resolved count -- explicit, environment,
-    or auto -- is clamped to ``os.cpu_count()``: extra shards beyond the
-    core count only add dispatch overhead, never throughput.
+    Explicit ``workers`` wins; ``None`` applies the auto heuristic:
+    serial below :data:`PARALLEL_MIN_WORDS` or on a single-core host,
+    else one worker per core capped at 8.  Every resolved count is
+    clamped to ``os.cpu_count()``: extra shards beyond the core count
+    only add dispatch overhead, never throughput.
     """
     cpu_limit = os.cpu_count() or 1
     if workers is None:
-        env = os.environ.get(_WORKERS_ENV)
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ParameterError(
-                    f"{_WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            if word_ops < PARALLEL_MIN_WORDS:
-                return 1
-            return max(1, min(_MAX_AUTO_WORKERS, cpu_limit))
+        if word_ops < PARALLEL_MIN_WORDS:
+            return 1
+        return max(1, min(_MAX_AUTO_WORKERS, cpu_limit))
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     return max(1, min(workers, cpu_limit))
@@ -308,23 +246,17 @@ def _run_job(
     total: int,
     word_ops: int,
     workers: int | None,
-    backend: str | ShardBackend | None,
-    kernel: str | None = None,
     params: dict | None = None,
 ) -> None:
-    """Resolve workers, executor, and kernel impl, then run one sharded sweep.
+    """Resolve workers and kernel tier, then run one sharded sweep.
 
-    ``op`` names the kernel in :data:`_KERNEL_IMPLS`; ``kernel`` selects
-    the implementation tier (see :func:`resolve_kernel`).  Every backend
-    degenerates to the identical inline kernel call when the resolved
-    worker count is 1, and every kernel impl is bit-identical, so results
-    cannot depend on the worker count, the executor, or the tier.
-    Exceptions propagate.
+    ``op`` names the kernel in :data:`_KERNEL_IMPLS`.  The shards run
+    inline or on threads, and both tiers are bit-identical, so results
+    cannot depend on the worker count or the tier.  Exceptions propagate.
     """
-    resolved = resolve_workers(workers, word_ops)
-    fn = _KERNEL_IMPLS[op, resolve_kernel(kernel)]
+    fn = _KERNEL_IMPLS[op, resolve_kernel()]
     job = ShardJob(kernel=fn, arrays=arrays, outs=outs, total=total, params=params or {})
-    resolve_backend(backend, word_ops, resolved).run(job, resolved)
+    run_threaded(job, resolve_workers(workers, word_ops))
 
 
 def _batch_index_array(batch: Sequence[tuple[int, ...]], d: int) -> np.ndarray:
@@ -391,9 +323,8 @@ def combination_index_array(d: int, k: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Shard kernels.  Module-level (not closures) so the process backend can
-# ship them to workers by qualified name; each reads shared input arrays
-# and writes the disjoint ``[lo:hi)`` slice of a preallocated output.
+# Shard kernels.  Each reads shared input arrays and writes the disjoint
+# ``[lo:hi)`` slice of a preallocated output.
 # ----------------------------------------------------------------------
 def _index_supports_kernel(
     arrays: Mapping[str, np.ndarray],
@@ -478,11 +409,8 @@ def _contains_kernel(
 # ----------------------------------------------------------------------
 # Native-tier shard kernels: same signature, same [lo:hi) contract, but
 # the loop body is cffi-compiled C (fused AND + popcount, early-exit
-# containment) that releases the GIL.  Module-level like the numpy
-# kernels so the process backend ships them by qualified name; each
-# re-resolves the compiled library locally, so a worker that cannot
-# build it (no compiler in a spawn context) still computes the identical
-# answer through the numpy kernel.
+# containment) that releases the GIL.  They run only when
+# resolve_kernel() found the compiled library in this process.
 # ----------------------------------------------------------------------
 def _index_supports_kernel_native(
     arrays: Mapping[str, np.ndarray],
@@ -492,13 +420,7 @@ def _index_supports_kernel_native(
     params: Mapping,
 ) -> None:
     """Native shard of :meth:`PackedColumns.supports_for_index_array`."""
-    from . import _native
-
-    lib = _native.load()
-    if lib is None:  # pragma: no cover - worker without the compiled tier
-        _index_supports_kernel(arrays, outs, lo, hi, params)
-        return
-    lib.index_supports(arrays["ext"], arrays["idx"], outs["counts"], lo, hi)
+    _native.load().index_supports(arrays["ext"], arrays["idx"], outs["counts"], lo, hi)
 
 
 def _combination_supports_kernel_native(
@@ -509,13 +431,7 @@ def _combination_supports_kernel_native(
     params: Mapping,
 ) -> None:
     """Native shard of :meth:`PackedColumns.combination_supports`."""
-    from . import _native
-
-    lib = _native.load()
-    if lib is None:  # pragma: no cover - worker without the compiled tier
-        _combination_supports_kernel(arrays, outs, lo, hi, params)
-        return
-    lib.combination_supports(
+    _native.load().combination_supports(
         arrays["words"],
         arrays["pmask"],
         arrays["leaf_prefix"],
@@ -534,13 +450,7 @@ def _contains_kernel_native(
     params: Mapping,
 ) -> None:
     """Native shard of :meth:`PackedRows.contains_batch` (early-exit C loop)."""
-    from . import _native
-
-    lib = _native.load()
-    if lib is None:  # pragma: no cover - worker without the compiled tier
-        _contains_kernel(arrays, outs, lo, hi, params)
-        return
-    lib.contains(arrays["words"], arrays["masks"], outs["mask"], lo, hi)
+    _native.load().contains(arrays["words"], arrays["masks"], outs["mask"], lo, hi)
 
 
 #: Kernel registry: (operation, implementation tier) -> shard function.
@@ -665,11 +575,7 @@ class PackedColumns:
     # Batched kernels.
     # ------------------------------------------------------------------
     def supports_for_index_array(
-        self,
-        idx: np.ndarray,
-        workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
+        self, idx: np.ndarray, workers: int | None = None
     ) -> np.ndarray:
         """Support counts for an ``(m, k)`` item-index array (one sweep).
 
@@ -678,10 +584,7 @@ class PackedColumns:
         equal to ``d`` select the virtual all-rows column (ragged padding).
         With ``workers > 1`` the index rows are sharded, each shard writing
         a disjoint slice of the output; ``None`` applies the auto heuristic
-        of :func:`resolve_workers`.  ``backend`` selects the shard executor
-        (serial / thread / process; ``None`` = auto escalation by volume)
-        and ``kernel`` the implementation tier (numpy / native; ``None`` =
-        ``REPRO_EVAL_KERNEL`` or auto, see :func:`resolve_kernel`).
+        of :func:`resolve_workers`.
         """
         m, k = idx.shape
         if m == 0:
@@ -696,8 +599,6 @@ class PackedColumns:
             total=m,
             word_ops=m * k * self.n_words,
             workers=workers,
-            backend=backend,
-            kernel=kernel,
         )
         return out
 
@@ -705,17 +606,13 @@ class PackedColumns:
         self,
         itemsets: Iterable[Sequence[int]],
         workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """Support counts for many itemsets in one vectorized sweep.
 
         Ragged batches are handled by padding with a virtual all-rows
         column; uniform-length batches (a miner's candidate level) convert
         straight to the index array with no per-element Python loop.
-        ``workers`` shards the sweep, ``backend`` picks its executor, and
-        ``kernel`` its implementation tier (see
-        :meth:`supports_for_index_array`).
+        ``workers`` shards the sweep (see :meth:`supports_for_index_array`).
         """
         batch = [tuple(t) for t in itemsets]
         m = len(batch)
@@ -724,9 +621,7 @@ class PackedColumns:
         if max(len(t) for t in batch) == 0:
             return np.full(m, self._n, dtype=np.int64)
         idx = _batch_index_array(batch, self._d)
-        return self.supports_for_index_array(
-            idx, workers=workers, backend=backend, kernel=kernel
-        )
+        return self.supports_for_index_array(idx, workers=workers)
 
     def _colex_ranks(self, idx: np.ndarray) -> np.ndarray:
         """Vectorized colex ranks of an ``(m, k)`` sorted-combination array.
@@ -748,8 +643,6 @@ class PackedColumns:
         k: int,
         chunk_size: int = 1 << 16,
         workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Supports of all ``C(d, k)`` k-itemsets in lexicographic order.
 
@@ -760,16 +653,12 @@ class PackedColumns:
         single gather + AND + popcount, evaluated in memory-bounded chunks
         (the native tier fuses gather, AND, and popcount into one C loop
         and needs no chunking).  With ``workers > 1`` the leaf range is
-        sharded (the prefix masks are shared -- in place by threads, via
-        one shared-memory publication by the process backend); every
-        worker count, executor, and kernel tier produces bit-identical
-        counts.
+        sharded over threads that share the prefix masks in place; every
+        worker count and kernel tier produces bit-identical counts.
         """
         idx = combination_index_array(self._d, k)
         if k <= 1:
-            return idx, self.supports_for_index_array(
-                idx, workers=workers, backend=backend, kernel=kernel
-            )
+            return idx, self.supports_for_index_array(idx, workers=workers)
         pidx = combination_index_array(self._d, k - 1)
         pmask = self._words[pidx[:, 0]]
         for pos in range(1, k - 1):
@@ -793,8 +682,6 @@ class PackedColumns:
             total=idx.shape[0],
             word_ops=2 * idx.shape[0] * self.n_words,
             workers=workers,
-            backend=backend,
-            kernel=kernel,
             params={"chunk_size": int(chunk_size)},
         )
         return idx, counts
@@ -862,26 +749,18 @@ class PackedColumns:
                 prefix + (j,), child[j - start], j + 1, k, min_count
             )
 
-    def support_counts_all(
-        self,
-        k: int,
-        workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
-    ) -> np.ndarray:
+    def support_counts_all(self, k: int, workers: int | None = None) -> np.ndarray:
         """Supports of all ``C(d, k)`` k-itemsets, indexed by colex rank.
 
         The rank convention matches :func:`~repro.db.itemset.rank_itemset`
         (``rank(T) = sum_i C(c_i, i+1)``), so ``result[rank_itemset(T)]`` is
         the support of ``T``.  One flat batched kernel sweep (optionally
-        sharded via ``workers``/``backend``/``kernel``) plus a vectorized
+        sharded via ``workers``) plus a vectorized
         Pascal-table rank scatter.
         """
         if not 0 <= k <= self._d:
             raise ParameterError(f"need 0 <= k <= d, got k={k}, d={self._d}")
-        idx, counts = self.combination_supports(
-            k, workers=workers, backend=backend, kernel=kernel
-        )
+        idx, counts = self.combination_supports(k, workers=workers)
         if k == 0:
             return counts
         out = np.empty_like(counts)
@@ -1047,8 +926,6 @@ class PackedRows:
         self,
         itemsets: Iterable[Sequence[int]],
         workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """Boolean ``(m, n)`` containment mask matrix for many itemsets.
 
@@ -1059,8 +936,7 @@ class PackedRows:
         into its disjoint output slice -- no per-chunk 3-D temporaries
         (the native tier instead early-exits per row on the first
         mismatching word).  ``workers`` shards the itemset axis (``None``
-        = auto heuristic), ``backend`` picks the executor, and ``kernel``
-        the implementation tier.
+        = auto heuristic).
         """
         batch = [tuple(t) for t in itemsets]
         m = len(batch)
@@ -1081,8 +957,6 @@ class PackedRows:
             total=m,
             word_ops=m * block,
             workers=workers,
-            backend=backend,
-            kernel=kernel,
             params={"chunk": int(chunk)},
         )
         return out
@@ -1091,8 +965,6 @@ class PackedRows:
         self,
         itemsets: Iterable[Sequence[int]],
         workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """Support counts for many itemsets via the row-containment kernel.
 
@@ -1101,9 +973,9 @@ class PackedRows:
         the column kernel touches ``k`` columns per query instead of every
         row -- and this one when the masks are needed anyway.
         """
-        return self.contains_batch(
-            itemsets, workers=workers, backend=backend, kernel=kernel
-        ).sum(axis=1, dtype=np.int64)
+        return self.contains_batch(itemsets, workers=workers).sum(
+            axis=1, dtype=np.int64
+        )
 
     def __repr__(self) -> str:
         return f"PackedRows(n={self._n}, d={self._d}, d_words={self.d_words})"

@@ -24,7 +24,6 @@ from ..errors import ParameterError
 from .database import BinaryDatabase
 from .itemset import Itemset, lex_itemsets
 from .packed import PackedColumns
-from .backends import ShardBackend
 
 __all__ = [
     "FrequencyOracle",
@@ -80,55 +79,31 @@ class FrequencyOracle:
         self,
         itemsets: Iterable[Itemset | Sequence[int]],
         workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """Support counts for a batch of itemsets in one vectorized sweep.
 
-        ``workers`` shards the sweep, ``backend`` selects the shard
-        executor -- serial, thread, or shared-memory process pool -- and
-        ``kernel`` the implementation tier (numpy or cffi-compiled
-        native).  ``None`` everywhere applies the auto heuristics;
-        results are identical for every worker count, executor, and tier.
+        ``workers`` shards the sweep over threads (``None`` applies the
+        auto heuristic); results are identical for every worker count.
         """
         batch = [
             t.items if isinstance(t, Itemset) else tuple(t) for t in itemsets
         ]
-        return self._kernel.supports_batch(
-            batch, workers=workers, backend=backend, kernel=kernel
-        )
+        return self._kernel.supports_batch(batch, workers=workers)
 
     def frequencies(
-        self,
-        itemsets: Iterable[Itemset],
-        workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
+        self, itemsets: Iterable[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Frequencies for a batch of itemsets (single kernel call)."""
-        return (
-            self.supports_batch(
-                itemsets, workers=workers, backend=backend, kernel=kernel
-            )
-            / self._db.n
-        )
+        return self.supports_batch(itemsets, workers=workers) / self._db.n
 
-    def all_supports(
-        self,
-        k: int,
-        workers: int | None = None,
-        backend: str | ShardBackend | None = None,
-        kernel: str | None = None,
-    ) -> np.ndarray:
+    def all_supports(self, k: int, workers: int | None = None) -> np.ndarray:
         """Supports of all ``C(d, k)`` k-itemsets, indexed by colex rank.
 
         ``result[rank_itemset(T)]`` is the support of ``T``; computed with
         shared prefix intersections (one word-AND + popcount per itemset),
-        optionally sharded via ``workers``/``backend``/``kernel``.
+        optionally sharded via ``workers``.
         """
-        return self._kernel.support_counts_all(
-            k, workers=workers, backend=backend, kernel=kernel
-        )
+        return self._kernel.support_counts_all(k, workers=workers)
 
     def iter_supports(
         self, k: int, min_count: int = 0
@@ -138,26 +113,17 @@ class FrequencyOracle:
 
 
 def all_frequencies(
-    db: BinaryDatabase,
-    k: int,
-    workers: int | None = None,
-    backend: str | ShardBackend | None = None,
-    kernel: str | None = None,
+    db: BinaryDatabase, k: int, workers: int | None = None
 ) -> dict[Itemset, float]:
     """Exact frequencies of *all* ``C(d, k)`` k-itemsets.
 
     This is RELEASE-ANSWERS' precomputation step (Definition 7), evaluated
     as one flat batched kernel sweep (a handful of vectorized AND + popcount
     calls for the whole ``C(d, k)`` space) zipped against the cached
-    lexicographic itemset enumeration.  ``workers`` shards the sweep,
-    ``backend`` picks its executor (``None`` = auto; serial below the size
-    threshold, escalating to the process pool for the largest sweeps), and
-    ``kernel`` the implementation tier (``None`` = auto: native C when the
-    compiled module is available, numpy otherwise).
+    lexicographic itemset enumeration.  ``workers`` shards the sweep
+    over threads (``None`` = auto; serial below the size threshold).
     """
-    _, counts = db.packed.combination_supports(
-        k, workers=workers, backend=backend, kernel=kernel
-    )
+    _, counts = db.packed.combination_supports(k, workers=workers)
     freqs = counts / db.n
     return dict(zip(lex_itemsets(db.d, k), freqs.tolist()))
 

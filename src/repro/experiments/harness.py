@@ -53,23 +53,20 @@ def measure_sketch_error(
     n_itemsets: int = 200,
     rng: np.random.Generator | int | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """One sketch draw: max/mean absolute estimation error over itemsets.
 
     Returns a dict with ``max_error``, ``mean_error`` and ``bits``.
-    ``workers``/``backend`` shard the exact ground-truth sweep and the
-    sketch's batched queries (``None`` = auto heuristics).
+    ``workers`` shards the exact ground-truth sweep and the sketch's
+    batched queries (``None`` = auto heuristic).
     """
     gen = as_rng(rng)
     itemsets = _sample_itemsets(params, n_itemsets, gen)
     oracle = FrequencyOracle(db)
     sketch = sketcher.sketch(db, params, gen)
-    exact = oracle.frequencies(itemsets, workers=workers, backend=backend)
-    errors = np.abs(
-        np.asarray(sketch.estimate_batch(itemsets, workers=workers, backend=backend))
-        - exact
-    )
+    exact = oracle.frequencies(itemsets, workers=workers)
+    estimates = np.asarray(sketch.estimate_batch(itemsets, workers=workers))
+    errors = np.abs(estimates - exact)
     return {
         "max_error": float(errors.max()),
         "mean_error": float(errors.mean()),

@@ -46,7 +46,6 @@ def apriori(
     min_frequency: float,
     max_size: int | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[Itemset, float]:
     """All itemsets with frequency >= ``min_frequency`` (up to ``max_size``).
 
@@ -62,9 +61,6 @@ def apriori(
     workers:
         Shards each level's batched frequency sweep (``None`` = auto
         heuristic).
-    backend:
-        Shard executor for those sweeps: ``"serial"``, ``"thread"``, or
-        ``"process"`` (``None`` = auto escalation by sweep volume).
 
     Returns
     -------
@@ -81,7 +77,7 @@ def apriori(
     # sweep on databases, a per-itemset loop on sketches.
     singletons = [Itemset([j]) for j in range(src.d)]
     for itemset, freq in zip(
-        singletons, batch_frequencies(src, singletons, workers=workers, backend=backend)
+        singletons, batch_frequencies(src, singletons, workers=workers)
     ):
         if freq >= min_frequency:
             result[itemset] = float(freq)
@@ -95,7 +91,7 @@ def apriori(
         next_level = []
         for candidate, freq in zip(
             candidates,
-            batch_frequencies(src, candidates, workers=workers, backend=backend),
+            batch_frequencies(src, candidates, workers=workers),
         ):
             if freq >= min_frequency:
                 result[candidate] = float(freq)

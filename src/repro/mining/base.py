@@ -64,16 +64,13 @@ class DatabaseSource:
         return self._oracle.frequency(itemset)
 
     def frequencies_batch(
-        self,
-        itemsets: Sequence[Itemset],
-        workers: int | None = None,
-        backend: str | None = None,
+        self, itemsets: Sequence[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Exact frequencies for a whole batch in one kernel sweep.
 
-        ``workers`` shards the sweep; ``backend`` picks its executor.
+        ``workers`` shards the sweep.
         """
-        return self._oracle.frequencies(itemsets, workers=workers, backend=backend)
+        return self._oracle.frequencies(itemsets, workers=workers)
 
 
 class SketchSource:
@@ -92,18 +89,14 @@ class SketchSource:
         return self._sketch.estimate(itemset)
 
     def frequencies_batch(
-        self,
-        itemsets: Sequence[Itemset],
-        workers: int | None = None,
-        backend: str | None = None,
+        self, itemsets: Sequence[Itemset], workers: int | None = None
     ) -> np.ndarray:
         """Batched estimates through the sketch's ``estimate_batch``.
 
         Sketches that query a stored database run one sharded kernel
-        sweep; stored-answer sketches ignore ``workers``/``backend``
-        (table lookups).
+        sweep; stored-answer sketches ignore ``workers`` (table lookups).
         """
-        return self._sketch.estimate_batch(itemsets, workers=workers, backend=backend)
+        return self._sketch.estimate_batch(itemsets, workers=workers)
 
 
 def as_source(obj: BinaryDatabase | FrequencySketch | FrequencySource) -> FrequencySource:
@@ -119,25 +112,20 @@ def batch_frequencies(
     source: FrequencySource,
     itemsets: Iterable[Itemset],
     workers: int | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Frequencies for many itemsets, batched when the source supports it.
 
     Uses the source's ``frequencies_batch`` (one vectorized kernel call)
     when available, otherwise one ``frequency`` call per itemset.  Both
-    paths return identical values.  ``workers`` shards batched sweeps and
-    ``backend`` selects the shard executor; sources whose batch path takes
-    neither keyword are called without them.
+    paths return identical values.  ``workers`` shards batched sweeps;
+    sources whose batch path does not take it are called without it.
     """
     batch = list(itemsets)
     fast = getattr(source, "frequencies_batch", None)
     if fast is not None:
-        kwargs = {
-            name: value
-            for name, value in (("workers", workers), ("backend", backend))
-            if value is not None and _accepts_kwarg(fast, name)
-        }
-        return np.asarray(fast(batch, **kwargs), dtype=float)
+        if workers is not None and _accepts_kwarg(fast, "workers"):
+            return np.asarray(fast(batch, workers=workers), dtype=float)
+        return np.asarray(fast(batch), dtype=float)
     return np.array([source.frequency(t) for t in batch], dtype=float)
 
 

@@ -12,7 +12,9 @@ Overload protection and durability (PR 9): a ``max_connections`` cap
 answers excess connections with one ``BUSY`` response and hangs up; an
 ``idle_timeout`` reclaims connections that stop sending requests; and
 :meth:`SketchServer.shutdown` drains gracefully -- the listener closes,
-in-flight requests finish and are answered, then connections close.
+connections waiting between requests close at once, and requests that
+have started to arrive finish and are answered before their connections
+close.
 With a :class:`~repro.server.persistence.PersistentStore` attached,
 every acknowledged mutation is WAL-logged before the ack leaves.
 
@@ -111,6 +113,9 @@ class SketchServer:
         )
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        # Connections waiting for the first byte of their next request:
+        # a drain closes these at once instead of waiting out the grace.
+        self._idle_writers: set[asyncio.StreamWriter] = set()
         self._draining = False
         self._compacting = False
 
@@ -138,13 +143,19 @@ class SketchServer:
     async def shutdown(self, grace: float | None = 10.0) -> None:
         """Graceful drain: refuse new work, finish in-flight, then stop.
 
-        The listener closes first (new connections are refused), live
-        connections get up to ``grace`` seconds to finish the request
-        they are on -- each hangs up after its next response -- and any
-        straggler past the grace period is cancelled.  The attached
-        store (if any) is closed last, after the final journal append.
+        The listener closes first (new connections are refused), and
+        connections waiting between requests close at once.  A
+        connection whose request has started to arrive gets up to
+        ``grace`` seconds to finish it -- it hangs up after that
+        response -- and any straggler past the grace period is
+        cancelled.  The attached store (if any) is closed last, after
+        the final journal append.
         """
         self._draining = True
+        # Close idle connections before awaiting the listener's close,
+        # which on newer Pythons waits for open connections to finish.
+        for writer in self._idle_writers:
+            writer.close()  # the pending read ends at EOF; the task exits
         await self.close()
         pending = {t for t in self._conn_tasks if not t.done()}
         if pending:
@@ -197,12 +208,22 @@ class SketchServer:
         self._conn_tasks.add(task)
         try:
             while True:
+                # The first byte separates an idle connection (which a
+                # drain closes at once) from a request that has started
+                # to arrive (which a drain answers).
+                self._idle_writers.add(writer)
                 try:
-                    header = await self._read_exactly(reader, 4)
+                    header = await self._read_exactly(reader, 1)
                 except asyncio.IncompleteReadError:
-                    break  # clean EOF between messages, or mid-prefix
+                    break  # clean EOF between messages, or closed by a drain
                 except asyncio.TimeoutError:
                     break  # idle past the timeout: reclaim the slot
+                finally:
+                    self._idle_writers.discard(writer)
+                try:
+                    header += await self._read_exactly(reader, 3)
+                except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+                    break  # disconnect or stall mid-prefix
                 (length,) = struct.unpack(">I", header)
                 if not 1 <= length <= self.max_frame_bytes:
                     # The framing itself is broken; answer once and hang

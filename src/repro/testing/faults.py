@@ -341,7 +341,7 @@ def kill_once_partial_kernel(arrays, outs, lo, hi, params) -> None:
     with ``SIGKILL`` -- no cleanup, no exception, the genuine article.
     Every later invocation, including the supervised retry of the same
     batch, delegates to the real partial kernel.  Module-level so the
-    process backend can pickle it by qualified name.
+    process pool can pickle it by qualified name.
     """
     flag = os.environ.get(KILL_FLAG_ENV)
     if flag:
@@ -353,6 +353,6 @@ def kill_once_partial_kernel(arrays, outs, lo, hi, params) -> None:
             os.close(fd)
             os.kill(os.getpid(), signal.SIGKILL)
     # The binding captured at import time, NOT a late lookup on the
-    # pipeline module: fork-started workers inherit the parent's
-    # monkeypatched module, and a late lookup there would recurse.
+    # pipeline module: wherever the pipeline module is patched with this
+    # kernel, a late lookup would call this kernel again.
     _REAL_PARTIAL_KERNEL(arrays, outs, lo, hi, params)

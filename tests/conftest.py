@@ -6,23 +6,39 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import settings as hypothesis_settings
 
-# Forced shard execution (CI legs set REPRO_WORKERS / REPRO_EVAL_BACKEND /
-# REPRO_EVAL_KERNEL) adds per-call dispatch overhead -- shared-memory
-# publication for the process backend, a one-time cffi compile for the
-# native kernel tier -- that has nothing to do with the properties under
-# test, so hypothesis deadlines are disabled for those runs.
-hypothesis_settings.register_profile("forced-backend", deadline=None)
-if (
-    os.environ.get("REPRO_EVAL_BACKEND")
-    or os.environ.get("REPRO_WORKERS")
-    or os.environ.get("REPRO_EVAL_KERNEL")
-):
-    hypothesis_settings.load_profile("forced-backend")
-
-from repro.db import BinaryDatabase, Itemset, planted_database, random_database
+from repro.db import BinaryDatabase, Itemset, _native, planted_database, random_database
 from repro.params import SketchParams
+
+
+@pytest.fixture(scope="session")
+def native_unavailable():
+    """Switch to the world of a host where the native tier cannot load.
+
+    Returns :func:`repro.db._native._forced_unavailable_for_tests`, a
+    context manager rather than a per-test switch, so a test can compare
+    both tiers in one body (hypothesis tests included).
+    """
+    return _native._forced_unavailable_for_tests
+
+
+def _report_cores(count: int):
+    patcher = pytest.MonkeyPatch()
+    patcher.setattr(os, "cpu_count", lambda: count)
+    yield
+    patcher.undo()
+
+
+@pytest.fixture(scope="class")
+def two_cores():
+    """Report exactly 2 cores, so ``workers=2`` and auto both shard in two."""
+    yield from _report_cores(2)
+
+
+@pytest.fixture(scope="class")
+def many_cores():
+    """Report 8 cores, so the cpu-count clamp keeps wide sharding real."""
+    yield from _report_cores(8)
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """CI smoke for the sketch server: socket answers == file answers.
 
-Exercises the real daemon across process boundaries, the way CI's matrix
-legs (forced-native kernels, forced-process backend) need it proven:
+Exercises the real daemon across process boundaries:
 
 1. build a transaction file and `repro sketch` it to a frame file;
 2. start `repro serve --port 0` as a subprocess and read its port;

@@ -5,7 +5,9 @@ PR-8 acceptance criteria state it:
 
 1. a traffic-generator subprocess (``python -m repro.streaming.traffic``)
    pipes a 10^7-item Zipf stream as raw little-endian u64s into a
-   ``repro stream`` subprocess (``--format u64``, small micro-batches);
+   ``repro stream`` subprocess (``--format u64``, small micro-batches,
+   ``--workers 2``, so every batch's partials are sketched in pool
+   worker processes and folded back);
 2. peak RSS of the streaming processes must stay *flat* in the stream
    length: the 10x-longer run may not grow past a small multiple of the
    calibration run's peak (a buffered stream would add ~80 MB alone);
@@ -17,10 +19,6 @@ PR-8 acceptance criteria state it:
    resident summary answering exactly like the locally built reference
    (socket INGEST == file-path answers);
 5. SIGTERM must shut the daemon down cleanly (exit code 0).
-
-Honors ``REPRO_EVAL_BACKEND`` / ``REPRO_WORKERS`` / ``REPRO_EVAL_KERNEL``
-via the subprocess environment, so CI's forced-process and forced-native
-legs exercise the same contract on their executors.
 
 Run with:  PYTHONPATH=src python tests/stream_smoke.py
 """
@@ -67,7 +65,7 @@ def _stream_args(out: Path) -> list[str]:
         sys.executable, "-m", "repro", "stream", "-", "--format", "u64",
         "--summary", "count-min", "--universe", str(UNIVERSE),
         "--width", str(WIDTH), "--depth", str(DEPTH), "--seed", str(SEED),
-        "--max-batch-items", "65536", "--out", str(out),
+        "--max-batch-items", "65536", "--workers", "2", "--out", str(out),
     ]
 
 

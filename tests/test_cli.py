@@ -106,118 +106,34 @@ class TestCommands:
         assert capsys.readouterr().out == serial_out
 
     def test_mine_backend_matches_serial(self, tmp_path, capsys, monkeypatch):
+        """The sharded sweep backend prints what the inline one prints.
+
+        Four reported cores keep ``--workers 2`` from being clamped back
+        to one inline shard on a single-core host.
+        """
         monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
         db = planted_database(
             600, 8, [(Itemset([2, 3]), 0.6)], background=0.05, rng=1
         )
         path = tmp_path / "baskets.txt"
         write_transactions(db, path)
-        assert main(["mine", str(path), "--threshold", "0.5", "--backend", "serial"]) == 0
+        assert main(["mine", str(path), "--threshold", "0.5", "--workers", "1"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(
-            [
-                "mine", str(path), "--threshold", "0.5",
-                "--workers", "2", "--backend", "process",
-            ]
-        ) == 0
+        assert main(["mine", str(path), "--threshold", "0.5", "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
-    def test_backend_env_restored_after_command(self, tmp_path, capsys, monkeypatch):
-        """--backend must not leak REPRO_EVAL_BACKEND into the caller."""
-        import os
-
-        monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
-        db = planted_database(
-            200, 6, [(Itemset([1, 2]), 0.6)], background=0.05, rng=3
-        )
-        path = tmp_path / "baskets.txt"
-        write_transactions(db, path)
-        assert main(["mine", str(path), "--threshold", "0.5", "--backend", "serial"]) == 0
-        assert "REPRO_EVAL_BACKEND" not in os.environ
-        monkeypatch.setenv("REPRO_EVAL_BACKEND", "thread")
-        assert main(["mine", str(path), "--threshold", "0.5", "--backend", "serial"]) == 0
-        assert os.environ["REPRO_EVAL_BACKEND"] == "thread"
-
-    def test_backend_flags_parse_and_reject(self):
-        parser = build_parser()
-        assert parser.parse_args(["validate", "--backend", "thread"]).backend == "thread"
-        assert parser.parse_args(["mine", "f.txt", "--backend", "process"]).backend == "process"
-        assert parser.parse_args(["sketch", "f.txt", "--out", "s.bin"]).backend is None
-        with pytest.raises(SystemExit):
-            parser.parse_args(["validate", "--backend", "gpu"])
-
-    def test_kernel_flags_parse_and_reject(self):
-        parser = build_parser()
-        assert parser.parse_args(["validate", "--kernel", "numpy"]).kernel == "numpy"
-        assert parser.parse_args(["mine", "f.txt", "--kernel", "native"]).kernel == "native"
-        assert parser.parse_args(["sketch", "f.txt", "--out", "s.bin"]).kernel is None
-        assert parser.parse_args(["query", "s.bin", "0", "--kernel", "auto"]).kernel == "auto"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["mine", "f.txt", "--kernel", "fortran"])
-
-    def test_mine_kernel_tiers_match(self, tmp_path, capsys, monkeypatch):
-        """Every --kernel request prints identical mining output."""
-        monkeypatch.delenv("REPRO_EVAL_KERNEL", raising=False)
+    def test_mine_kernel_tiers_match(self, tmp_path, capsys, native_unavailable):
+        """The numpy and native kernel tiers print identical mining output."""
         db = planted_database(
             600, 8, [(Itemset([2, 3]), 0.6)], background=0.05, rng=1
         )
         path = tmp_path / "baskets.txt"
         write_transactions(db, path)
-        assert main(["mine", str(path), "--threshold", "0.5", "--kernel", "numpy"]) == 0
+        with native_unavailable():
+            assert main(["mine", str(path), "--threshold", "0.5"]) == 0
         numpy_out = capsys.readouterr().out
-        # auto and native must agree; if the native tier is unavailable
-        # the explicit request degrades (with a warning) to the same
-        # numpy answer -- never an error.
-        import warnings
-
-        for tier in ("auto", "native"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert main(
-                    ["mine", str(path), "--threshold", "0.5", "--kernel", tier]
-                ) == 0
-            assert capsys.readouterr().out == numpy_out
-
-    def test_kernel_env_restored_after_command(self, tmp_path, capsys, monkeypatch):
-        """--kernel must not leak REPRO_EVAL_KERNEL into the caller."""
-        import os
-
-        monkeypatch.delenv("REPRO_EVAL_KERNEL", raising=False)
-        db = planted_database(
-            200, 6, [(Itemset([1, 2]), 0.6)], background=0.05, rng=3
-        )
-        path = tmp_path / "baskets.txt"
-        write_transactions(db, path)
-        assert main(["mine", str(path), "--threshold", "0.5", "--kernel", "numpy"]) == 0
-        assert "REPRO_EVAL_KERNEL" not in os.environ
-        monkeypatch.setenv("REPRO_EVAL_KERNEL", "numpy")
-        assert main(["mine", str(path), "--threshold", "0.5", "--kernel", "auto"]) == 0
-        assert os.environ["REPRO_EVAL_KERNEL"] == "numpy"
-
-    def test_backend_and_kernel_compose(self, tmp_path, capsys, monkeypatch):
-        """Both overrides scope together and restore together."""
-        import os
-
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_EVAL_KERNEL", raising=False)
-        db = planted_database(
-            600, 8, [(Itemset([2, 3]), 0.6)], background=0.05, rng=1
-        )
-        path = tmp_path / "baskets.txt"
-        write_transactions(db, path)
         assert main(["mine", str(path), "--threshold", "0.5"]) == 0
-        plain_out = capsys.readouterr().out
-        assert main(
-            [
-                "mine", str(path), "--threshold", "0.5", "--workers", "2",
-                "--backend", "thread", "--kernel", "numpy",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == plain_out
-        assert "REPRO_EVAL_BACKEND" not in os.environ
-        assert "REPRO_EVAL_KERNEL" not in os.environ
+        assert capsys.readouterr().out == numpy_out
 
     def test_validate_workers(self, capsys):
         code = main(
@@ -552,57 +468,6 @@ class TestOutputFileSafety:
         err = capsys.readouterr().err
         assert "trailing garbage" in err and str(b) in err
         assert not out.exists()
-
-
-class TestEnvRestoredOnErrorPaths:
-    """--backend/--kernel env overrides must not leak when a command fails."""
-
-    def test_env_restored_after_raising_command(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_EVAL_KERNEL", raising=False)
-        # `mine` on a missing file raises out of main(); the overrides
-        # must be unwound on the way.
-        with pytest.raises(OSError):
-            main(
-                [
-                    "mine", "/nonexistent/baskets.txt",
-                    "--backend", "serial", "--kernel", "numpy",
-                ]
-            )
-        assert "REPRO_EVAL_BACKEND" not in os.environ
-        assert "REPRO_EVAL_KERNEL" not in os.environ
-
-    def test_preexisting_env_restored_after_raising_command(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_EVAL_BACKEND", "thread")
-        monkeypatch.setenv("REPRO_EVAL_KERNEL", "numpy")
-        with pytest.raises(OSError):
-            main(
-                [
-                    "mine", "/nonexistent/baskets.txt",
-                    "--backend", "serial", "--kernel", "auto",
-                ]
-            )
-        assert os.environ["REPRO_EVAL_BACKEND"] == "thread"
-        assert os.environ["REPRO_EVAL_KERNEL"] == "numpy"
-
-    def test_env_restored_after_failing_exit_code(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
-        # `sketch` reports a missing input as exit code 1 (no raise);
-        # the override must be gone afterwards too.
-        assert main(
-            [
-                "sketch", "/nonexistent/baskets.txt", "--out", "/tmp/never.bin",
-                "--backend", "serial",
-            ]
-        ) == 1
-        capsys.readouterr()
-        assert "REPRO_EVAL_BACKEND" not in os.environ
 
 
 class TestServeCli:

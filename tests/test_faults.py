@@ -14,19 +14,18 @@ Four contracts pinned here:
   may: idempotent verbs and refused connects always, mutating verbs
   only on explicit opt-in, definitive server errors never, all under a
   decorrelated-jitter backoff bounded by ``deadline``;
-* a killed process-backend shard worker costs one pool rebuild and one
-  batch retry (same salt, bit-identical partials), never a half-applied
-  batch.
+* a killed pipeline shard worker process costs one pool rebuild and
+  one batch retry (same salt, bit-identical partials), never a
+  half-applied batch.
 
 NOTE: ``repro.testing.faults`` must be imported before any test
 monkeypatches the pipeline kernel -- the kill kernel captures the real
-kernel at import time, which is what keeps fork-started workers (who
-inherit the parent's patched module) from recursing.
+kernel at import time, so it never calls itself through the patched
+module attribute.
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import struct
 import threading
@@ -58,14 +57,6 @@ def _misra_gries(seed: int = 0, universe: int = 48, k: int = 6) -> MisraGries:
 def server():
     with serve_in_thread() as handle:
         yield handle
-
-
-@pytest.fixture
-def eight_cores(monkeypatch):
-    """Pretend to have cores so worker counts are not clamped to 1 in CI."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +353,7 @@ class TestBusyRetry:
 # ----------------------------------------------------------------------
 class TestPipelineSupervision:
     def test_killed_worker_rebuilds_and_matches_clean_run(
-        self, eight_cores, monkeypatch, tmp_path
+        self, many_cores, monkeypatch, tmp_path
     ):
         spec = SummarySpec(
             "count-min", universe=64, k=5, width=32, depth=3, size=16, seed=11
@@ -371,24 +362,24 @@ class TestPipelineSupervision:
         stream = rng.integers(0, 64, size=20000)
         batches = [stream[i : i + 4096] for i in range(0, stream.size, 4096)]
 
-        clean = StreamPipeline(spec, workers=2, backend="process").run(batches)
+        clean = StreamPipeline(spec, workers=2).run(batches)
 
         flag = tmp_path / "kill-once.flag"
         monkeypatch.setenv("REPRO_FAULT_KILL_FLAG", str(flag))
         monkeypatch.setattr(
             pipeline_module, "_partial_sketch_kernel", kill_once_partial_kernel
         )
-        # The registry's process backend reuses its pool across sweeps;
-        # recycle it so the workers fork *after* the flag env is set (and
-        # again afterwards, so no armed worker leaks into later tests).
-        from repro.db.backends import get_backend
+        # The shared process pool is reused across runs; recycle it so
+        # the workers start *after* the flag env is set (and again
+        # afterwards, so no armed worker leaks into later tests).
+        from repro.db.backends import PROCESS_POOL
 
-        get_backend("process").shutdown()
+        PROCESS_POOL.shutdown()
         try:
-            pipe = StreamPipeline(spec, workers=2, backend="process")
+            pipe = StreamPipeline(spec, workers=2)
             survived = pipe.run(batches)
         finally:
-            get_backend("process").shutdown()
+            PROCESS_POOL.shutdown()
 
         assert flag.exists()  # exactly one worker pulled the trigger
         assert pipe.stats.worker_restarts == 1
@@ -396,10 +387,10 @@ class TestPipelineSupervision:
         # Same salt on the retried batch -> bit-identical final state.
         assert survived.to_bytes() == clean.to_bytes()
 
-    def test_clean_run_reports_zero_restarts(self, eight_cores):
+    def test_clean_run_reports_zero_restarts(self, many_cores):
         spec = SummarySpec(
             "count-min", universe=64, k=5, width=32, depth=3, size=16, seed=11
         )
-        pipe = StreamPipeline(spec, workers=2, backend="process")
+        pipe = StreamPipeline(spec, workers=2)
         pipe.run([np.arange(4096, dtype=np.int64) % 64])
         assert pipe.stats.worker_restarts == 0

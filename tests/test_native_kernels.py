@@ -1,21 +1,23 @@
 """Differential tests for the cffi-compiled native kernel tier.
 
-The contract mirrors the backend suite one level down: the ``"native"``
-kernel implementations must be **bit-identical** to the ``"numpy"``
+The contract: the native kernels must be **bit-identical** to the numpy
 reference for every kernel (index supports, combination sweep, row
-containment) across every executor backend (serial / thread / process)
-and every worker count.  The hypothesis differential drives random
-shapes through the full 3-kernel x 3-backend matrix.
+containment) at every worker count.  Which tier runs is not a setting --
+it is native whenever the compiled module loads -- so the numpy answers
+come from the same calls inside the ``native_unavailable`` switch
+(``conftest.py``), which makes the loader fail as on a host without cffi
+or a compiler.  Sweeps shard on threads, so every case runs at one
+worker (inline) and three (thread shards); the hypothesis differential
+drives random shapes through both.
 
-The whole module skips cleanly when the native tier cannot load (no
-cffi, no compiler) -- that world is itself under test in
-``test_parallel_eval.py``'s fallback cases, and the graceful-degradation
+The differential classes skip cleanly when the native tier cannot load
+(no cffi, no compiler) -- that world is itself under test through the
+same switch in ``test_parallel_eval.py`` -- and the graceful-degradation
 unit tests here run on either world.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from math import comb
 
@@ -33,16 +35,9 @@ needs_native = pytest.mark.skipif(
     reason=f"native kernel tier unavailable: {_native.unavailable_reason()}",
 )
 
-BACKENDS = ("serial", "thread", "process")
-
-
-@pytest.fixture(scope="class")
-def many_cores():
-    """Pretend 8 cores so the cpu-count clamp keeps forced sharding real."""
-    patcher = pytest.MonkeyPatch()
-    patcher.setattr(os, "cpu_count", lambda: 8)
-    yield
-    patcher.undo()
+#: Worker counts of the differential: one runs inline, three shard on
+#: threads (the ids name the executor each one gets).
+WORKERS = [pytest.param(1, id="serial"), pytest.param(3, id="thread")]
 
 
 @pytest.fixture(scope="module")
@@ -61,84 +56,84 @@ def pr() -> PackedRows:
 @needs_native
 @pytest.mark.usefixtures("many_cores")
 class TestNativeNumpyDifferential:
-    """numpy vs native, bit for bit, on every kernel and backend."""
+    """numpy vs native, bit for bit, on every kernel and worker count."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_combination_supports(self, pc, backend, k):
-        idx_np, ref = pc.combination_supports(k, workers=1, kernel="numpy")
-        idx_nat, native = pc.combination_supports(
-            k, workers=3, backend=backend, kernel="native"
-        )
+    def test_combination_supports(self, pc, native_unavailable, workers, k):
+        with native_unavailable():
+            idx_np, ref = pc.combination_supports(k, workers=1)
+        idx_nat, native = pc.combination_supports(k, workers=workers)
         assert np.array_equal(idx_np, idx_nat)
         assert np.array_equal(ref, native)
         assert native.dtype == np.int64
         assert native.shape == (comb(pc.d, k),)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_index_supports(self, pc, backend):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_index_supports(self, pc, native_unavailable, workers):
         idx = combination_index_array(pc.d, 3)
-        ref = pc.supports_for_index_array(idx, workers=1, kernel="numpy")
-        native = pc.supports_for_index_array(
-            idx, workers=3, backend=backend, kernel="native"
-        )
+        with native_unavailable():
+            ref = pc.supports_for_index_array(idx, workers=1)
+        native = pc.supports_for_index_array(idx, workers=workers)
         assert np.array_equal(ref, native)
         assert native.dtype == np.int64
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ragged_batch(self, pc, backend):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_ragged_batch(self, pc, native_unavailable, workers):
         # Empty itemsets, duplicates, and mixed sizes exercise the
         # extended block's all-rows sentinel column (ragged padding).
         batch = [(), (0,), (1, 3, 5), (11,), (0, 2), (), (4, 4, 4)]
-        ref = pc.supports_batch(batch, workers=1, kernel="numpy")
-        native = pc.supports_batch(batch, workers=3, backend=backend, kernel="native")
+        with native_unavailable():
+            ref = pc.supports_batch(batch, workers=1)
+        native = pc.supports_batch(batch, workers=workers)
         assert np.array_equal(ref, native)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_contains_batch(self, pr, backend):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_contains_batch(self, pr, native_unavailable, workers):
         batch = list(combinations(range(10), 2)) + [(), (69,), (0, 0, 5)]
-        ref = pr.contains_batch(batch, workers=1, kernel="numpy")
-        native = pr.contains_batch(batch, workers=3, backend=backend, kernel="native")
+        with native_unavailable():
+            ref = pr.contains_batch(batch, workers=1)
+            ref_supports = pr.supports_batch(batch, workers=1)
+        native = pr.contains_batch(batch, workers=workers)
         assert np.array_equal(ref, native)
         assert native.dtype == np.bool_
-        assert np.array_equal(
-            pr.supports_batch(batch, workers=1, kernel="numpy"),
-            pr.supports_batch(batch, workers=3, backend=backend, kernel="native"),
-        )
+        assert np.array_equal(ref_supports, pr.supports_batch(batch, workers=workers))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
     @pytest.mark.parametrize("d", [1, 64, 65])
-    def test_word_boundary_shapes(self, n, d):
+    def test_word_boundary_shapes(self, native_unavailable, n, d):
         """Exact word multiples and one-past shapes, all three kernels."""
         rng = np.random.default_rng(n * 131 + d)
         rows = rng.random((n, d)) < 0.5
         pc = PackedColumns(rows)
         pr = PackedRows(rows)
         batch = [(), (0,), (d - 1,), tuple(range(min(d, 3)))]
-        assert np.array_equal(
-            pc.supports_batch(batch, workers=1, kernel="numpy"),
-            pc.supports_batch(batch, workers=1, kernel="native"),
-        )
         k = min(d, 2)
-        assert np.array_equal(
-            pc.combination_supports(k, workers=1, kernel="numpy")[1],
-            pc.combination_supports(k, workers=1, kernel="native")[1],
-        )
-        assert np.array_equal(
-            pr.contains_batch(batch, workers=1, kernel="numpy"),
-            pr.contains_batch(batch, workers=1, kernel="native"),
-        )
+
+        def answers():
+            return (
+                pc.supports_batch(batch, workers=1),
+                pc.combination_supports(k, workers=1)[1],
+                pr.contains_batch(batch, workers=1),
+            )
+
+        with native_unavailable():
+            ref = answers()
+        for expected, got in zip(ref, answers()):
+            assert np.array_equal(expected, got)
 
     @given(
         n=st.integers(min_value=1, max_value=140),
         d=st.integers(min_value=1, max_value=70),
         density=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        backend=st.sampled_from(BACKENDS),
+        workers=st.sampled_from([1, 3]),
     )
     @settings(max_examples=20, deadline=None)
-    def test_hypothesis_differential(self, n, d, density, seed, backend):
-        """Random shapes through the full kernel x backend matrix."""
+    def test_hypothesis_differential(
+        self, native_unavailable, n, d, density, seed, workers
+    ):
+        """Random shapes through every kernel, inline and on threads."""
         rng = np.random.default_rng(seed)
         rows = rng.random((n, d)) < density
         pc = PackedColumns(rows)
@@ -146,23 +141,21 @@ class TestNativeNumpyDifferential:
         k = min(d, 2)
         batch = [tuple(t) for t in combinations(range(min(d, 8)), k)] or [()]
         batch += [(), (d - 1,)]
-        ref_counts = pc.supports_batch(batch, workers=1, kernel="numpy")
-        ref_sweep = pc.combination_supports(k, workers=1, kernel="numpy")[1]
-        ref_masks = pr.contains_batch(batch, workers=1, kernel="numpy")
-        nat_counts = pc.supports_batch(
-            batch, workers=2, backend=backend, kernel="native"
-        )
-        nat_sweep = pc.combination_supports(
-            k, workers=2, backend=backend, kernel="native"
-        )[1]
-        nat_masks = pr.contains_batch(
-            batch, workers=2, backend=backend, kernel="native"
-        )
-        assert np.array_equal(ref_counts, nat_counts)
-        assert np.array_equal(ref_sweep, nat_sweep)
-        assert np.array_equal(ref_masks, nat_masks)
-        assert nat_counts.dtype == np.int64
-        assert nat_masks.dtype == np.bool_
+
+        def answers(w):
+            return (
+                pc.supports_batch(batch, workers=w),
+                pc.combination_supports(k, workers=w)[1],
+                pr.contains_batch(batch, workers=w),
+            )
+
+        with native_unavailable():
+            ref = answers(1)
+        native = answers(workers)
+        for expected, got in zip(ref, native):
+            assert np.array_equal(expected, got)
+        assert native[0].dtype == np.int64
+        assert native[2].dtype == np.bool_
 
     def test_matches_python_naive(self):
         """Native agrees with a from-scratch Python evaluation, not just numpy."""
@@ -170,7 +163,7 @@ class TestNativeNumpyDifferential:
         rows = rng.random((67, 9)) < 0.4
         pc = PackedColumns(rows)
         idx = combination_index_array(pc.d, 3)
-        native = pc.supports_for_index_array(idx, workers=1, kernel="native")
+        native = pc.supports_for_index_array(idx, workers=1)
         naive = np.array(
             [int(rows[:, list(t)].all(axis=1).sum()) for t in map(tuple, idx)],
             dtype=np.int64,
@@ -211,22 +204,3 @@ class TestGracefulDegradation:
         assert lib is None or isinstance(lib, _native.NativeKernels)
         if lib is None:
             assert _native.unavailable_reason()
-
-    def test_native_shard_kernels_fall_back_inline(self, pc, monkeypatch):
-        """The native shard wrappers answer correctly even if the compiled
-        library vanishes between dispatch and shard execution (e.g. a
-        process worker that failed to build it locally)."""
-        from repro.db import packed
-
-        ref = pc.supports_batch([(0, 1), ()], workers=1, kernel="numpy")
-        monkeypatch.setattr(_native, "load", lambda: None)
-        idx = packed._batch_index_array([(0, 1), ()], pc.d)
-        counts = np.zeros(2, dtype=np.int64)
-        packed._index_supports_kernel_native(
-            {"ext": pc._extended(), "idx": np.ascontiguousarray(idx)},
-            {"counts": counts},
-            0,
-            2,
-            {},
-        )
-        assert np.array_equal(counts, ref)

@@ -4,7 +4,8 @@ The core contract: every frequency evaluator in the repo --
 ``PackedColumns`` batch supports, ``FrequencyOracle``,
 ``BinaryDatabase.frequency``, and ``eclat`` -- agrees exactly on every
 database, including row counts that are not multiples of 64 and the empty
-itemset.
+itemset.  The batch evaluators are checked inline (``workers=1``) and
+sharded on threads (``workers=2``, with at least two cores reported).
 """
 
 from __future__ import annotations
@@ -136,14 +137,20 @@ class TestPopcountBranches:
             pc.supports_batch([(0, 5)])
 
 
+#: The differential runs every batch evaluator inline and on two threads.
+WORKERS = (1, 2)
+
+
+@pytest.mark.usefixtures("two_cores")
 class TestBatchKernels:
     def test_supports_batch_ragged(self):
         rng = np.random.default_rng(1)
         rows = rng.random((100, 6)) < 0.5
         pc = PackedColumns(rows)
         batch = [(), (0,), (1, 3), (0, 2, 4), (5,), ()]
-        got = pc.supports_batch(batch)
-        assert got.tolist() == [_direct_support(rows, t) for t in batch]
+        for workers in WORKERS:
+            got = pc.supports_batch(batch, workers=workers)
+            assert got.tolist() == [_direct_support(rows, t) for t in batch]
 
     def test_supports_batch_empty_batch(self):
         pc = PackedColumns(np.ones((5, 2), dtype=bool))
@@ -154,16 +161,17 @@ class TestBatchKernels:
         db = BinaryDatabase(rng.random((77, 8)) < 0.4)
         oracle = FrequencyOracle(db)
         itemsets = [Itemset(t) for k in range(3) for t in combinations(range(8), k)]
-        batch = oracle.frequencies(itemsets)
-        for t, f in zip(itemsets, batch):
-            assert f == oracle.frequency(t) == db.frequency(t)
+        for workers in WORKERS:
+            batch = oracle.frequencies(itemsets, workers=workers)
+            for t, f in zip(itemsets, batch):
+                assert f == oracle.frequency(t) == db.frequency(t)
 
     def test_support_counts_all_rank_indexed(self):
         rng = np.random.default_rng(4)
         rows = rng.random((90, 7)) < 0.3
         pc = PackedColumns(rows)
-        for k in range(4):
-            counts = pc.support_counts_all(k)
+        for k, workers in ((k, w) for k in range(4) for w in WORKERS):
+            counts = pc.support_counts_all(k, workers=workers)
             assert counts.shape == (comb(7, k),)
             for t in combinations(range(7), k):
                 assert counts[rank_itemset(t)] == _direct_support(rows, t)
@@ -182,6 +190,7 @@ class TestBatchKernels:
         assert got == want
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestEvaluatorAgreement:
     @given(
         arrays(bool, st.tuples(st.integers(1, 70), st.integers(1, 8))),
@@ -195,12 +204,13 @@ class TestEvaluatorAgreement:
         pc = PackedColumns(mat)
         oracle = FrequencyOracle(db)
         sets = list(combinations(range(db.d), k))
-        batch = pc.supports_batch(sets)
-        for t, c in zip(sets, batch):
-            direct = _direct_support(db.rows, t)
-            assert c == direct
-            assert oracle.support(Itemset(t)) == direct
-            assert db.frequency(Itemset(t)) == pytest.approx(direct / db.n)
+        for workers in WORKERS:
+            batch = pc.supports_batch(sets, workers=workers)
+            for t, c in zip(sets, batch):
+                direct = _direct_support(db.rows, t)
+                assert c == direct
+                assert oracle.support(Itemset(t)) == direct
+                assert db.frequency(Itemset(t)) == pytest.approx(direct / db.n)
 
     @given(arrays(bool, st.tuples(st.integers(1, 70), st.integers(1, 7))))
     @settings(max_examples=25, deadline=None)
@@ -226,7 +236,8 @@ class TestEvaluatorAgreement:
 
         db = BinaryDatabase(mat)
         k = min(2, db.d)
-        freqs = all_frequencies(db, k)
-        assert len(freqs) == comb(db.d, k)
-        for t, f in freqs.items():
-            assert f == pytest.approx(db.frequency(t))
+        for workers in WORKERS:
+            freqs = all_frequencies(db, k, workers=workers)
+            assert len(freqs) == comb(db.d, k)
+            for t, f in freqs.items():
+                assert f == pytest.approx(db.frequency(t))

@@ -4,7 +4,9 @@ The contract under test: ``PackedRows`` containment masks,
 ``PackedColumns`` supports, and the naive unpacked
 ``rows[:, items].all(axis=1)`` path agree bit-for-bit on every database --
 including row and column counts that straddle the 64-bit word boundary,
-empty itemsets, duplicate items, and all-zero / all-one rows.
+empty itemsets, duplicate items, and all-zero / all-one rows.  The batch
+kernels are checked inline (``workers=1``) and sharded on threads
+(``workers=2``, with at least two cores reported).
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ def _naive_mask(rows: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
 
 # Shapes deliberately straddle the word boundary on both axes.
 _matrices = arrays(bool, st.tuples(st.integers(1, 140), st.integers(1, 70)))
+
+#: The differential runs every batch kernel inline and on two threads.
+WORKERS = (1, 2)
 
 
 def _itemset_batches(d: int):
@@ -79,6 +84,7 @@ class TestRowLayout:
             pr.contains((-1,))
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestKernelDifferential:
     @given(_matrices, st.data())
     @settings(max_examples=40, deadline=None)
@@ -98,15 +104,17 @@ class TestKernelDifferential:
         pr = PackedRows(mat)
         pc = PackedColumns(mat)
         batch = data.draw(_itemset_batches(mat.shape[1]))
-        mask_matrix = pr.contains_batch(batch)
-        col_counts = pc.supports_batch(batch)
-        assert mask_matrix.shape == (len(batch), mat.shape[0])
-        for t, row_mask, col_count in zip(batch, mask_matrix, col_counts):
-            naive = _naive_mask(mat, t)
-            assert np.array_equal(row_mask, naive)
-            assert col_count == int(naive.sum())
-        assert np.array_equal(pr.supports_batch(batch), col_counts)
-        assert pr.supports_batch(batch).dtype == col_counts.dtype == np.int64
+        for workers in WORKERS:
+            mask_matrix = pr.contains_batch(batch, workers=workers)
+            col_counts = pc.supports_batch(batch, workers=workers)
+            assert mask_matrix.shape == (len(batch), mat.shape[0])
+            for t, row_mask, col_count in zip(batch, mask_matrix, col_counts):
+                naive = _naive_mask(mat, t)
+                assert np.array_equal(row_mask, naive)
+                assert col_count == int(naive.sum())
+            row_counts = pr.supports_batch(batch, workers=workers)
+            assert np.array_equal(row_counts, col_counts)
+            assert row_counts.dtype == col_counts.dtype == np.int64
 
     @given(_matrices)
     @settings(max_examples=25, deadline=None)
@@ -114,8 +122,9 @@ class TestKernelDifferential:
         pr = PackedRows(mat)
         assert pr.contains(()).all()
         assert pr.support(()) == mat.shape[0]
-        got = pr.contains_batch([(), ()])
-        assert got.shape == (2, mat.shape[0]) and got.all()
+        for workers in WORKERS:
+            got = pr.contains_batch([(), ()], workers=workers)
+            assert got.shape == (2, mat.shape[0]) and got.all()
 
     @given(st.integers(1, 140), st.integers(1, 70))
     @settings(max_examples=25, deadline=None)

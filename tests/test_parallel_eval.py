@@ -1,23 +1,27 @@
-"""Tests for the sharded batch evaluators and their executor backends.
+"""Tests for the sharded batch evaluators and their executors.
 
-The contract: every worker count *and every backend* produces bit-identical
-arrays (values and dtype) -- shards are contiguous slices of one
-preallocated output running the same kernel code, whether inline, on
-threads, or on the shared-memory process pool -- and the auto heuristics
-keep tiny problems serial so they never pay dispatch.
+The contract: every worker count produces bit-identical arrays (values
+and dtype) -- shards are contiguous slices of one preallocated output
+running the same kernel code -- and the auto heuristics keep tiny
+problems serial so they never pay dispatch.  Where shards run is decided
+by the job: query sweeps run inline or on threads, never in another
+process, and the shared-memory process pool that sketches stream
+partials keeps its own lifecycle contract (no leaked blocks, no pickled
+rows, recovery from a dead worker, teardown at exit).
 
-Since PR 4 ``resolve_workers`` clamps every requested count to
-``os.cpu_count()``, the forced-sharding tests pretend to have several
-cores (the kernels themselves are oblivious: over-sharding a 1-core host
-is slow, never wrong).
+``resolve_workers`` clamps every requested count to ``os.cpu_count()``,
+so the forced-sharding tests pretend to have several cores (the kernels
+themselves are oblivious: over-sharding a 1-core host is slow, never
+wrong).
 """
 
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import sys
-from contextlib import contextmanager
+import threading
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -33,64 +37,22 @@ from repro.db import (
     PackedColumns,
     PackedRows,
     all_frequencies,
+    packed,
 )
-from repro.db.backends import (
-    BACKEND_ENV,
-    PROCESS_MIN_WORDS,
-    SHM_PREFIX,
-    ProcessBackend,
-    SerialBackend,
-    ShardJob,
-    ThreadBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
-from repro.db import _native
+from repro.db import _native, backends
+from repro.db.backends import SHM_PREFIX, ProcessBackend, ShardJob
 from repro.db.packed import (
-    KERNEL_ENV,
     PARALLEL_MIN_WORDS,
     _MAX_AUTO_WORKERS,
-    available_kernels,
     combination_index_array,
     resolve_kernel,
     resolve_workers,
 )
 from repro.errors import ParameterError
+from repro.streaming import SUMMARY_KINDS, StreamPipeline, SummarySpec
+from repro.streaming import pipeline as pipeline_module
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(scope="class")
-def many_cores():
-    """Pretend 8 cores so the cpu-count clamp keeps forced sharding real."""
-    patcher = pytest.MonkeyPatch()
-    patcher.setattr(os, "cpu_count", lambda: 8)
-    yield
-    patcher.undo()
-
-
-@contextmanager
-def _forced_env(backend: str, workers: int, cores: int = 4):
-    """Force a backend + worker count via the environment (with restore).
-
-    A plain context manager (not a fixture) so hypothesis-driven tests can
-    use it without function-scoped-fixture health checks.
-    """
-    saved = {key: os.environ.get(key) for key in (BACKEND_ENV, "REPRO_WORKERS")}
-    saved_cpu = os.cpu_count
-    os.environ[BACKEND_ENV] = backend
-    os.environ["REPRO_WORKERS"] = str(workers)
-    os.cpu_count = lambda: cores
-    try:
-        yield
-    finally:
-        os.cpu_count = saved_cpu
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def _leftover_segments() -> list[str]:
@@ -144,8 +106,6 @@ class TestWorkerEquivalence:
         _, serial = kernel.combination_supports(1, workers=1)
         _, sharded = kernel.combination_supports(1, workers=64)
         assert np.array_equal(serial, sharded)
-        _, process = kernel.combination_supports(1, workers=64, backend="process")
-        assert np.array_equal(serial, process)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_row_kernel_identical_across_workers(self, k):
@@ -203,78 +163,129 @@ class TestOracleAndQueriesPassThrough:
         db = BinaryDatabase(rng.random((100, 9)) < 0.3)
         assert all_frequencies(db, 2, workers=1) == all_frequencies(db, 2, workers=4)
 
-    def test_oracle_backend_pass_through(self):
-        rng = np.random.default_rng(7)
-        db = BinaryDatabase(rng.random((90, 9)) < 0.4)
-        oracle = FrequencyOracle(db)
-        itemsets = list(combinations(range(9), 2))
-        serial = oracle.supports_batch(itemsets, workers=1, backend="serial")
-        for backend in ("thread", "process"):
-            assert np.array_equal(
-                oracle.supports_batch(itemsets, workers=2, backend=backend), serial
-            )
-        assert all_frequencies(db, 2, workers=1, backend="serial") == all_frequencies(
-            db, 2, workers=2, backend="process"
+
+@pytest.mark.usefixtures("two_cores")
+class TestSweepExecutor:
+    """Query sweeps shard on threads of this process, never on the pool."""
+
+    def test_large_sweep_runs_on_threads(self, in_process_only, monkeypatch):
+        """The C(28, 4) sweep over 65,536 rows (41.9 M word operations) at
+        ``workers=2`` and auto: two thread shards in this process, no
+        shared-memory block published, no process started."""
+        tier = resolve_kernel()
+        real = packed._KERNEL_IMPLS["combination_supports", tier]
+        seen = []
+
+        def recording(arrays, outs, lo, hi, params):
+            seen.append((os.getpid(), threading.get_ident()))
+            real(arrays, outs, lo, hi, params)
+
+        monkeypatch.setitem(
+            packed._KERNEL_IMPLS, ("combination_supports", tier), recording
         )
+        pc = PackedColumns(np.random.default_rng(28).random((65_536, 28)) < 0.3)
+        _, serial = pc.combination_supports(4, workers=1)
+        assert seen == [(os.getpid(), threading.get_ident())]
+        for workers in (2, None):
+            seen.clear()
+            _, counts = pc.combination_supports(4, workers=workers)
+            assert np.array_equal(counts, serial)
+            assert len(seen) == 2  # one call per shard
+            assert {pid for pid, _ in seen} == {os.getpid()}
+            threads = {ident for _, ident in seen}
+            assert len(threads) == 2 and threading.get_ident() not in threads
+        assert not _leftover_segments()
+
+
+@pytest.fixture
+def in_process_only(monkeypatch):
+    """Fail the test if anything publishes shared memory or starts a process."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query sweep left this process")
+
+    monkeypatch.setattr(backends.shared_memory, "SharedMemory", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+@pytest.mark.usefixtures("many_cores")
+class TestBackendResolution:
+    """A sweep's executor follows its volume: inline, then threads."""
+
+    def test_auto_escalates_by_volume(self, in_process_only, monkeypatch):
+        """Below :data:`PARALLEL_MIN_WORDS` a sweep runs inline; from there
+        on it shards on one thread per core -- never in another process."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        shard_counts = []
+
+        def recording(job, workers):
+            shard_counts.append(workers)
+            backends.run_threaded(job, workers)
+
+        monkeypatch.setattr(packed, "run_threaded", recording)
+        # 4,096 rows = 64 words per column; 2-itemsets cost 2 * 64 words.
+        pc = PackedColumns(np.random.default_rng(3).random((4096, 64)) < 0.4)
+        pairs = list(combinations(range(pc.d), 2))
+        per_query = 2 * pc.n_words
+        small = pairs[: PARALLEL_MIN_WORDS // per_query - 1]
+        large = pairs[: PARALLEL_MIN_WORDS // per_query]
+        small_counts = pc.supports_batch(small)
+        large_counts = pc.supports_batch(large)
+        assert shard_counts == [1, 4]
+        assert np.array_equal(large_counts[: len(small)], small_counts)
+        assert np.array_equal(large_counts, pc.supports_batch(large, workers=1))
 
 
 @pytest.mark.usefixtures("many_cores")
 class TestProcessBackendDifferential:
-    """Serial / thread / process must agree bit-for-bit on every kernel."""
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_column_kernel_all_backends(self, kernel, k):
-        idx, serial = kernel.combination_supports(k, workers=1, backend="serial")
-        for backend in ("thread", "process"):
-            _, other = kernel.combination_supports(k, workers=3, backend=backend)
-            assert np.array_equal(serial, other)
-            assert other.dtype == np.int64
-        assert not _leftover_segments()
-
-    def test_row_kernel_all_backends(self):
-        rng = np.random.default_rng(23)
-        pr = PackedRows(rng.random((110, 70)) < 0.4)
-        batch = list(combinations(range(10), 2)) + [(), (69,), (0, 0, 5)]
-        serial = pr.contains_batch(batch, workers=1, backend="serial")
-        for backend in ("thread", "process"):
-            other = pr.contains_batch(batch, workers=3, backend=backend)
-            assert np.array_equal(serial, other)
-            assert other.dtype == np.bool_
-        assert not _leftover_segments()
+    """The process pool answers bit-for-bit like inline execution."""
 
     @given(
-        n=st.integers(min_value=1, max_value=90),
-        d=st.integers(min_value=1, max_value=70),
-        density=st.floats(min_value=0.0, max_value=1.0),
+        kind=st.sampled_from(sorted(SUMMARY_KINDS)),
+        size=st.integers(min_value=1, max_value=3000),
+        shards=st.integers(min_value=2, max_value=4),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=12, deadline=None)
-    def test_forced_process_backend_bit_identical(self, n, d, density, seed):
-        """Hypothesis differential: REPRO_EVAL_BACKEND=process vs serial."""
-        rng = np.random.default_rng(seed)
-        rows = rng.random((n, d)) < density
-        pc = PackedColumns(rows)
-        pr = PackedRows(rows)
-        k = min(d, 2)
-        batch = [tuple(t) for t in combinations(range(min(d, 8)), k)] or [()]
-        batch += [(), (d - 1,)]
-        serial_counts = pc.supports_batch(batch, workers=1, backend="serial")
-        serial_sweep = pc.combination_supports(k, workers=1, backend="serial")[1]
-        serial_masks = pr.contains_batch(batch, workers=1, backend="serial")
-        with _forced_env("process", workers=2):
-            forced_counts = pc.supports_batch(batch)
-            forced_sweep = pc.combination_supports(k)[1]
-            forced_masks = pr.contains_batch(batch)
-        assert np.array_equal(serial_counts, forced_counts)
-        assert np.array_equal(serial_sweep, forced_sweep)
-        assert np.array_equal(serial_masks, forced_masks)
-        assert forced_counts.dtype == np.int64
-        assert forced_masks.dtype == np.bool_
+    def test_forced_process_backend_bit_identical(self, kind, size, shards, seed):
+        """Partial frames sketched in pool processes equal inline ones."""
+        spec = SummarySpec(kind, universe=64, k=5, width=32, depth=3, size=16)
+        items = np.random.default_rng(seed).integers(0, 64, size=size)
+
+        def partial_job() -> ShardJob:
+            edges = backends.shard_edges(size, shards)
+            capacity = pipeline_module._frame_capacity(spec)
+            return ShardJob(
+                kernel=pipeline_module._partial_sketch_kernel,
+                arrays={"items": items},
+                outs={
+                    "frames": np.zeros((len(edges), capacity), dtype=np.uint8),
+                    "lens": np.zeros(len(edges), dtype=np.int64),
+                },
+                total=size,
+                params={
+                    "spec": spec.to_params(),
+                    "edges": [lo for lo, _ in edges],
+                    "salt": seed % 7,
+                },
+            )
+
+        inline, pooled = partial_job(), partial_job()
+        for lo, hi in backends.shard_edges(size, shards):
+            inline.run_slice(lo, hi)
+        backends.PROCESS_POOL.run(pooled, shards)
+        assert (pooled.outs["lens"] > 0).all()
+        for name in ("frames", "lens"):
+            assert np.array_equal(inline.outs[name], pooled.outs[name])
         assert not _leftover_segments()
 
 
-def _boom_kernel(arrays, outs, lo, hi, params):
+def _square_kernel(arrays, outs, lo, hi, params):
     """Module-level on purpose: the process pool ships kernels by name."""
+    outs["y"][lo:hi] = arrays["x"][lo:hi] ** 2
+
+
+def _boom_kernel(arrays, outs, lo, hi, params):
     raise ValueError("shard exploded")
 
 
@@ -283,42 +294,65 @@ def _die_kernel(arrays, outs, lo, hi, params):
     os._exit(1)
 
 
+def _job(kernel, n: int = 64) -> ShardJob:
+    return ShardJob(
+        kernel=kernel,
+        arrays={"x": np.arange(n, dtype=np.int64)},
+        outs={"y": np.zeros(n, dtype=np.int64)},
+        total=n,
+    )
+
+
+def _run_squares(backend: ProcessBackend, workers: int) -> None:
+    job = _job(_square_kernel)
+    backend.run(job, workers)
+    assert np.array_equal(job.outs["y"], np.arange(64) ** 2)
+
+
+_SPEC = SummarySpec("count-min", universe=64, width=32, depth=3, seed=11)
+_STREAM = np.random.default_rng(9).integers(0, 64, size=12_000)
+
+
+def _pipeline_matches_one_shot() -> None:
+    """A 2-worker pipeline (partials in pool processes) equals one-shot."""
+    piped = StreamPipeline(_SPEC, batch_items=4000, workers=2).run([_STREAM])
+    oneshot = _SPEC.build()
+    oneshot.update_many(_STREAM)
+    assert piped.to_bytes() == oneshot.to_bytes()
+
+
 class TestProcessBackendLifecycle:
     def test_shm_cleanup_on_worker_exception(self, many_cores):
         backend = ProcessBackend()
-        job = ShardJob(
-            kernel=_boom_kernel,
-            arrays={"x": np.arange(64, dtype=np.uint64)},
-            outs={"y": np.zeros(64, dtype=np.int64)},
-            total=64,
-        )
         try:
             with pytest.raises(ValueError, match="shard exploded"):
-                backend.run(job, workers=2)
+                backend.run(_job(_boom_kernel), workers=2)
             assert not _leftover_segments()
         finally:
             backend.shutdown()
 
-    def test_shm_cleanup_after_success(self, many_cores, kernel):
-        kernel.combination_supports(3, workers=2, backend="process")
+    def test_shm_cleanup_after_success(self, many_cores):
+        _pipeline_matches_one_shot()
+        assert backends.PROCESS_POOL._pool is not None  # it ran in the pool
         assert not _leftover_segments()
 
-    def test_no_row_data_pickled(self, many_cores, kernel, monkeypatch):
+    def test_no_row_data_pickled(self, many_cores, monkeypatch):
         """Only descriptors and scalars cross the process boundary."""
+        from concurrent.futures import ProcessPoolExecutor
+
         backend = ProcessBackend()
+        monkeypatch.setattr(pipeline_module, "PROCESS_POOL", backend)
+        recorded = []
+        original = ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args, **kwargs):
+            recorded.append(args)
+            return original(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
         try:
-            pool = backend._ensure_pool(2)
-            recorded = []
-            original = pool.submit
-
-            def spy(fn, *args, **kwargs):
-                recorded.append(args)
-                return original(fn, *args, **kwargs)
-
-            monkeypatch.setattr(pool, "submit", spy)
-            _, counts = kernel.combination_supports(3, workers=2, backend=backend)
-            assert np.array_equal(counts, kernel.combination_supports(3, workers=1)[1])
-            assert recorded, "process backend never reached the pool"
+            _pipeline_matches_one_shot()
+            assert recorded, "the pipeline never reached the pool"
             for args in recorded:
                 _, array_descs, out_descs, params, lo, hi = args
                 descs = list(array_descs.values()) + list(out_descs.values())
@@ -330,131 +364,95 @@ class TestProcessBackendLifecycle:
         finally:
             backend.shutdown()
 
-    def test_spawn_context_regression(self, many_cores, kernel, monkeypatch):
-        """Spawned workers re-import repro and still agree with serial."""
-        pythonpath = os.environ.get("PYTHONPATH", "")
-        if str(SRC_DIR) not in pythonpath.split(os.pathsep):
-            monkeypatch.setenv(
-                "PYTHONPATH",
-                str(SRC_DIR) + (os.pathsep + pythonpath if pythonpath else ""),
-            )
-        backend = ProcessBackend(context="spawn")
+    def test_spawn_context_regression(self, many_cores, monkeypatch):
+        """Workers are spawned, re-import repro, and sketch exact partials."""
+        backend = ProcessBackend()
+        monkeypatch.setattr(pipeline_module, "PROCESS_POOL", backend)
         try:
-            _, serial = kernel.combination_supports(3, workers=1)
-            _, spawned = kernel.combination_supports(3, workers=2, backend=backend)
-            assert np.array_equal(serial, spawned)
+            _pipeline_matches_one_shot()
+            assert backend._pool._mp_context.get_start_method() == "spawn"
             assert not _leftover_segments()
         finally:
             backend.shutdown()
 
-    def test_broken_pool_recovers_and_cleans_up(self, many_cores, kernel):
-        """A killed worker poisons one sweep, not the backend."""
+    def test_worker_start_imports_no_scipy(self):
+        """A spawned worker imports ``repro`` to unpickle its entry point
+        and the partial kernel; scipy must stay off that path, or every
+        pool start pays its import (about 1.1 s a worker)."""
+        import subprocess
+
+        script = (
+            "import sys, repro.db.backends, repro.streaming.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_broken_pool_recovers_and_cleans_up(self, many_cores):
+        """A killed worker poisons one run, not the backend."""
         from concurrent.futures.process import BrokenProcessPool
 
         backend = ProcessBackend()
-        job = ShardJob(
-            kernel=_die_kernel,
-            arrays={"x": np.arange(64, dtype=np.uint64)},
-            outs={"y": np.zeros(64, dtype=np.int64)},
-            total=64,
-        )
         try:
             with pytest.raises(BrokenProcessPool):
-                backend.run(job, workers=2)
+                backend.run(_job(_die_kernel), workers=2)
             assert not _leftover_segments()
-            # The next sweep gets a fresh pool and succeeds.
-            _, counts = kernel.combination_supports(3, workers=2, backend=backend)
-            assert np.array_equal(counts, kernel.combination_supports(3, workers=1)[1])
+            # The next run gets a fresh pool and succeeds.
+            _run_squares(backend, workers=2)
         finally:
             backend.shutdown()
 
-    def test_pool_reuse_and_growth(self, many_cores, kernel):
+    def test_pool_reuse_and_growth(self, many_cores):
         backend = ProcessBackend()
         try:
-            kernel.combination_supports(3, workers=2, backend=backend)
+            _run_squares(backend, workers=2)
             first = backend._pool
-            kernel.combination_supports(3, workers=2, backend=backend)
+            _run_squares(backend, workers=2)
             assert backend._pool is first  # reused, not rebuilt
-            kernel.combination_supports(3, workers=4, backend=backend)
+            _run_squares(backend, workers=4)
             assert backend._pool_workers == 4  # grown on demand
         finally:
             backend.shutdown()
 
-    def test_shm_cleanup_on_exception_in_reused_pool(self, many_cores, kernel):
+    def test_shm_cleanup_on_exception_in_reused_pool(self, many_cores):
         """A raising kernel unlinks every block on the *warm* pool too.
 
         The fresh-pool case is covered above; this pins the second-call
-        path, where ``_ensure_pool`` returns the existing executor and the
+        path, where the existing executor is reused and the
         publish/cleanup bracket must still run unconditionally.
         """
         backend = ProcessBackend()
-        job = ShardJob(
-            kernel=_boom_kernel,
-            arrays={"x": np.arange(64, dtype=np.uint64)},
-            outs={"y": np.zeros(64, dtype=np.int64)},
-            total=64,
-        )
         try:
-            # Warm the pool with a successful sweep first.
-            kernel.combination_supports(3, workers=2, backend=backend)
+            # Warm the pool with a successful run first.
+            _run_squares(backend, workers=2)
             warm = backend._pool
             assert warm is not None
             with pytest.raises(ValueError, match="shard exploded"):
-                backend.run(job, workers=2)
+                backend.run(_job(_boom_kernel), workers=2)
             assert backend._pool is warm  # the reused pool, not a fresh one
             assert not _leftover_segments()
-            # The pool survives the failed sweep and keeps answering.
-            _, counts = kernel.combination_supports(3, workers=2, backend=backend)
-            assert np.array_equal(counts, kernel.combination_supports(3, workers=1)[1])
+            # The pool survives the failed run and keeps answering.
+            _run_squares(backend, workers=2)
             assert not _leftover_segments()
         finally:
             backend.shutdown()
 
 
-class TestBackendResolution:
-    def test_registry_names_and_singletons(self):
-        assert available_backends() == ("serial", "thread", "process")
-        assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
-        assert isinstance(get_backend("process"), ProcessBackend)
-        assert get_backend("thread") is get_backend("thread")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            get_backend("gpu")
-        with pytest.raises(ParameterError):
-            resolve_backend("gpu", 0, 2)
-
-    def test_explicit_instance_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        backend = SerialBackend()
-        assert resolve_backend(backend, 10**9, 8) is backend
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend(None, 0, 1), ThreadBackend)
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ParameterError):
-            resolve_backend(None, 0, 1)
-
-    def test_auto_escalates_by_volume(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert isinstance(resolve_backend(None, 10**12, 1), SerialBackend)
-        assert isinstance(resolve_backend(None, PROCESS_MIN_WORDS - 1, 4), ThreadBackend)
-        if sys.platform == "linux":  # fork available
-            assert isinstance(
-                resolve_backend(None, PROCESS_MIN_WORDS, 4), ProcessBackend
-            )
-
-
 class TestAutoHeuristic:
-    def test_tiny_inputs_stay_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_tiny_inputs_stay_serial(self):
         assert resolve_workers(None, 0) == 1
         assert resolve_workers(None, PARALLEL_MIN_WORDS - 1) == 1
 
     def test_large_inputs_scale_with_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 6)
         assert resolve_workers(None, PARALLEL_MIN_WORDS) == 6
         monkeypatch.setattr("os.cpu_count", lambda: 64)
@@ -467,14 +465,6 @@ class TestAutoHeuristic:
         assert resolve_workers(3, 0) == 3
         assert resolve_workers(1, 10**12) == 1
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert resolve_workers(None, 0) == 2
-        monkeypatch.setenv("REPRO_WORKERS", "junk")
-        with pytest.raises(ParameterError):
-            resolve_workers(None, 0)
-
     def test_invalid_worker_counts(self):
         with pytest.raises(ParameterError):
             resolve_workers(0, 100)
@@ -483,27 +473,19 @@ class TestAutoHeuristic:
 
 
 class TestWorkerClamp:
-    """PR-4 satellite: nothing may oversubscribe the shard pool."""
+    """Nothing may oversubscribe the host's cores."""
 
     def test_explicit_workers_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert resolve_workers(64, 10**9) == 2
         assert resolve_workers(2, 0) == 2
         assert resolve_workers(1, 10**9) == 1
 
-    def test_env_workers_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        monkeypatch.setenv("REPRO_WORKERS", "64")
-        assert resolve_workers(None, 0) == 3
-
     def test_auto_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert resolve_workers(None, 10**9) == 2
 
     def test_unknown_cpu_count_means_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert resolve_workers(8, 10**9) == 1
         assert resolve_workers(None, 10**9) == 1
@@ -516,137 +498,43 @@ class TestWorkerClamp:
         assert np.array_equal(clamped, wide)
 
 
-@pytest.fixture
-def native_unavailable(monkeypatch):
-    """Force the no-native-module world, restoring the cached probe after.
-
-    Monkeypatches the loader's import step to fail (the satellite case:
-    cffi absent / compiler missing), then resets the resolution cache so
-    the failure is actually re-probed -- and re-resets on teardown so
-    later tests see the real availability again.
-    """
-
-    def _import_fails():
-        raise ImportError("forced: native module not importable")
-
-    monkeypatch.setattr(_native, "_load_impl", _import_fails)
-    _native._reset_for_tests()
-    yield
-    _native._reset_for_tests()
-
-
 class TestKernelEnvResolution:
-    """Precedence table for kernel-tier resolution and its orthogonality.
+    """The kernel tier follows the host environment -- whether the
+    compiled module loads -- and nothing else."""
 
-    ``resolve_kernel``: explicit argument > ``REPRO_EVAL_KERNEL`` env >
-    auto; the kernel tier never leaks into backend or worker resolution
-    (and vice versa).
-    """
-
-    def test_registry_names(self):
-        assert available_kernels() == ("auto", "numpy", "native")
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ParameterError):
-            resolve_kernel("gpu")
-        monkeypatch.setenv(KERNEL_ENV, "bogus")
-        with pytest.raises(ParameterError):
-            resolve_kernel(None)
-
-    def test_explicit_numpy_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "native")
-        assert resolve_kernel("numpy") == "numpy"
-
-    def test_env_beats_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        assert resolve_kernel(None) == "numpy"
-
-    def test_empty_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "")
-        assert resolve_kernel(None) == resolve_kernel("auto")
-
-    def test_resolution_matches_availability(self, monkeypatch):
-        """auto and native both track what actually loaded."""
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+    def test_resolution_matches_availability(self):
         expected = "native" if _native.available() else "numpy"
-        assert resolve_kernel(None) == expected
-        assert resolve_kernel("auto") == expected
+        assert resolve_kernel() == expected
 
     def test_auto_falls_back_silently_without_native(self, native_unavailable):
         import warnings
 
-        with warnings.catch_warnings():
+        with native_unavailable(), warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_kernel("auto") == "numpy"
-        assert not _native.available()
-        assert "forced" in (_native.unavailable_reason() or "")
-
-    def test_explicit_native_falls_back_with_one_warning(self, native_unavailable):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_kernel("native") == "numpy"
-        # Warned exactly once: the second request stays quiet.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_kernel("native") == "numpy"
-
-    def test_env_native_falls_back_too(self, native_unavailable, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "native")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_kernel(None) == "numpy"
+            assert resolve_kernel() == "numpy"
+            assert not _native.available()
+            assert "forced" in (_native.unavailable_reason() or "")
 
     def test_sweeps_stay_correct_without_native(self, native_unavailable, kernel):
-        """End to end: every tier request answers identically numpy-only."""
-        import warnings
-
-        expected = kernel.combination_supports(2, workers=1, kernel="numpy")[1]
-        with warnings.catch_warnings():
-            # The explicit-native request warns once; the answer must not
-            # change regardless.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for requested in (None, "auto", "native"):
+        """End to end: the numpy-only world answers like this host's tier."""
+        expected = kernel.combination_supports(2, workers=1)[1]
+        with native_unavailable():
+            assert resolve_kernel() == "numpy"
+            for workers in (1, 3):
                 assert np.array_equal(
-                    kernel.combination_supports(2, workers=1, kernel=requested)[1],
-                    expected,
+                    kernel.combination_supports(2, workers=workers)[1], expected
                 )
-
-    def test_kernel_env_does_not_touch_backend_resolution(self, monkeypatch):
-        """REPRO_EVAL_KERNEL is invisible to resolve_backend."""
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(KERNEL_ENV, "native")
-        assert isinstance(resolve_backend(None, 0, 1), SerialBackend)
-        monkeypatch.setenv(KERNEL_ENV, "bogus")  # not even validated here
-        assert isinstance(
-            resolve_backend(None, PROCESS_MIN_WORDS - 1, 4), ThreadBackend
-        )
-
-    def test_kernel_env_does_not_touch_worker_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        assert resolve_workers(None, PARALLEL_MIN_WORDS) == 4
-        assert resolve_workers(None, 0) == 1
-
-    def test_backend_env_does_not_touch_kernel_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        assert resolve_kernel(None) == "numpy"
 
 
 class TestAtexitTeardown:
-    """Interpreter exit must retire singleton pools and leave no shm.
+    """Interpreter exit must retire the shared pool and leave no shm.
 
-    A sketch server or CLI killed by SIGTERM never reaches an explicit
-    ``shutdown()``; the registry's atexit hook has to tear the lazily
-    created worker pools down so no ``repro_shm_*`` segments or pool
-    workers outlive the process.
+    A ``repro stream`` killed by SIGTERM, or any long-lived host, never
+    reaches an explicit ``shutdown()``; the atexit hook has to tear the
+    lazily created worker pool down so no ``repro_shm_*`` segments or
+    pool workers outlive the process.
     """
 
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="process backend requires fork",
-    )
     def test_interpreter_exit_retires_pools_and_shm(self):
         import subprocess
         import textwrap
@@ -656,15 +544,14 @@ class TestAtexitTeardown:
             import os
             os.cpu_count = lambda: 8
             import numpy as np
-            from repro.db import PackedColumns
-            from repro.db.backends import get_backend
+            from repro.db import backends
+            from repro.streaming import SUMMARY_KINDS, StreamPipeline, SummarySpec
 
-            rng = np.random.default_rng(0)
-            kernel = PackedColumns(rng.random((150, 12)) < 0.35)
-            backend = get_backend("process")
-            kernel.combination_supports(3, workers=2, backend=backend)
-            assert backend._pool is not None, "pool never spun up"
-            print("SWEEP-OK", flush=True)
+            spec = SummarySpec("count-min", universe=64, width=32, depth=3)
+            stream = np.arange(8192, dtype=np.int64) % 64
+            StreamPipeline(spec, batch_items=4096, workers=2).run([stream])
+            assert backends.PROCESS_POOL._pool is not None, "pool never spun up"
+            print("PIPELINE-OK", flush=True)
             # Exit WITHOUT calling shutdown(): the atexit hook must do it.
             """
         )
@@ -678,15 +565,13 @@ class TestAtexitTeardown:
             timeout=180,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "SWEEP-OK" in proc.stdout
+        assert "PIPELINE-OK" in proc.stdout
         assert not _leftover_segments()
         # No resource-tracker complaints about leaked segments either.
         assert "leaked shared_memory" not in proc.stderr
 
     def test_atexit_hook_is_registered_and_idempotent(self):
-        from repro.db.backends import _shutdown_registered_backends
-
-        backend = get_backend("process")
-        _shutdown_registered_backends()  # no pool yet: a no-op
-        _shutdown_registered_backends()
-        assert backend._pool is None
+        pool = backends.PROCESS_POOL
+        pool.shutdown()  # the exit hook: a no-op with no pool running
+        pool.shutdown()
+        assert pool._pool is None

@@ -22,12 +22,14 @@ from __future__ import annotations
 import io
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import backends
 from repro.errors import StreamError
 from repro.streaming import (
     SUMMARY_KINDS,
@@ -39,9 +41,24 @@ from repro.streaming import (
     bursty_traffic,
     zipf_traffic,
 )
+from repro.streaming import pipeline as pipeline_module
 from repro.streaming.pipeline import _frame_capacity
 
 UNIVERSE = 64
+
+#: Environment variable naming the directory where
+#: :func:`_pid_recording_partial_kernel` leaves one file per process id;
+#: set before the pool starts, so its workers inherit it.
+_PID_DIR_ENV = "REPRO_TEST_PID_DIR"
+
+#: Bound at import, before any test patches the pipeline module.
+_REAL_PARTIAL_KERNEL = pipeline_module._partial_sketch_kernel
+
+
+def _pid_recording_partial_kernel(arrays, outs, lo, hi, params) -> None:
+    """The real partial kernel, leaving a file named by its process id."""
+    Path(os.environ[_PID_DIR_ENV], str(os.getpid())).touch()
+    _REAL_PARTIAL_KERNEL(arrays, outs, lo, hi, params)
 
 
 def _spec(kind: str, **overrides) -> SummarySpec:
@@ -68,14 +85,6 @@ def _state(summary):
     if isinstance(summary, ReservoirSample):
         return list(summary.sample), summary.stream_length
     raise AssertionError(type(summary))
-
-
-@pytest.fixture
-def eight_cores(monkeypatch):
-    """Pretend to have cores so worker counts are not clamped to 1 in CI."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EVAL_BACKEND", raising=False)
 
 
 class TestSummarySpec:
@@ -118,7 +127,7 @@ class TestSingleWorkerBitIdentity:
         rng = np.random.default_rng(3)
         stream = rng.integers(0, UNIVERSE, size=7000)
         spec = _spec(kind)
-        pipe = StreamPipeline(spec, batch_items=512, workers=1, backend="serial")
+        pipe = StreamPipeline(spec, batch_items=512, workers=1)
         piped = pipe.run([stream])
         oneshot = spec.build()
         oneshot.update_many(stream)
@@ -134,7 +143,7 @@ class TestSingleWorkerBitIdentity:
         for kind in sorted(SUMMARY_KINDS):
             spec = _spec(kind)
             pipe = StreamPipeline(
-                spec, batch_items=batch_items, workers=1, backend="serial"
+                spec, batch_items=batch_items, workers=1
             )
             piped = pipe.run([stream])
             oneshot = spec.build()
@@ -142,17 +151,22 @@ class TestSingleWorkerBitIdentity:
             assert _state(piped) == _state(oneshot), kind
 
 
+@pytest.mark.usefixtures("many_cores")
 class TestMultiWorkerCertificates:
-    """Partition folds obey each summary's merge error certificates."""
+    """Partition folds obey each summary's merge error certificates.
+
+    With more than one worker every partial is sketched in a process of
+    the shared pool, so these folds cross real process boundaries.
+    """
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_count_min_bit_identical(self, eight_cores, workers):
+    def test_count_min_bit_identical(self, workers):
         """Non-conservative CMS partial tables sum exactly: bit-identical."""
         rng = np.random.default_rng(5)
         stream = rng.integers(0, UNIVERSE, size=20000)
         spec = _spec("count-min")
         pipe = StreamPipeline(
-            spec, batch_items=1024, workers=workers, backend="thread"
+            spec, batch_items=1024, workers=workers
         )
         piped = pipe.run([stream])
         oneshot = spec.build()
@@ -160,11 +174,11 @@ class TestMultiWorkerCertificates:
         assert np.array_equal(piped._table, oneshot._table)
         assert piped.stream_length == oneshot.stream_length
 
-    def test_misra_gries_undercount_bound(self, eight_cores):
+    def test_misra_gries_undercount_bound(self):
         rng = np.random.default_rng(6)
         stream = (rng.zipf(1.4, 30000) % UNIVERSE).astype(np.int64)
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=2048, workers=4, backend="thread")
+        pipe = StreamPipeline(spec, batch_items=2048, workers=4)
         summary = pipe.run([stream])
         true = np.bincount(stream, minlength=UNIVERSE)
         assert summary.stream_length == stream.size
@@ -174,11 +188,11 @@ class TestMultiWorkerCertificates:
             assert est <= true[item]  # MG never overestimates
             assert est >= true[item] - slack
 
-    def test_space_saving_overcount_bound(self, eight_cores):
+    def test_space_saving_overcount_bound(self):
         rng = np.random.default_rng(7)
         stream = (rng.zipf(1.4, 30000) % UNIVERSE).astype(np.int64)
         spec = _spec("space-saving")
-        pipe = StreamPipeline(spec, batch_items=2048, workers=4, backend="thread")
+        pipe = StreamPipeline(spec, batch_items=2048, workers=4)
         summary = pipe.run([stream])
         true = np.bincount(stream, minlength=UNIVERSE)
         assert summary.stream_length == stream.size
@@ -188,41 +202,43 @@ class TestMultiWorkerCertificates:
             if est > 0.0:  # tracked items never underestimate in SS
                 assert true[item] <= est <= true[item] + slack
 
-    def test_reservoir_sample_is_plausible(self, eight_cores):
+    def test_reservoir_sample_is_plausible(self):
         spec = _spec("reservoir")
         rng = np.random.default_rng(8)
         stream = rng.integers(0, UNIVERSE, size=9000)
-        pipe = StreamPipeline(spec, batch_items=1000, workers=3, backend="thread")
+        pipe = StreamPipeline(spec, batch_items=1000, workers=3)
         summary = pipe.run([stream])
         assert summary.stream_length == stream.size
         assert len(summary.sample) == spec.size
         assert all(0 <= item < UNIVERSE for item in summary.sample)
 
-    def test_process_backend_matches_thread(self, eight_cores):
-        """CMS bit-identity holds across process boundaries too."""
-        rng = np.random.default_rng(9)
-        stream = rng.integers(0, UNIVERSE, size=12000)
-        spec = _spec("count-min")
-        results = []
-        for backend in ("thread", "process"):
-            pipe = StreamPipeline(
-                spec, batch_items=4000, workers=2, backend=backend
-            )
-            results.append(pipe.run([stream]))
-        assert np.array_equal(results[0]._table, results[1]._table)
+    def test_partials_are_sketched_in_worker_processes(self, monkeypatch, tmp_path):
+        """``workers=2`` sketches each partial in a pool process, not here."""
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            pipeline_module, "_partial_sketch_kernel", _pid_recording_partial_kernel
+        )
+        # Start the pool after setting the variable, and stop it again
+        # afterwards, so no recording worker outlives this test.
+        backends.PROCESS_POOL.shutdown()
+        try:
+            stream = np.random.default_rng(9).integers(0, UNIVERSE, size=12000)
+            spec = _spec("count-min")
+            piped = StreamPipeline(spec, batch_items=4000, workers=2).run([stream])
+        finally:
+            backends.PROCESS_POOL.shutdown()
+        oneshot = spec.build()
+        oneshot.update_many(stream)
+        assert piped.to_bytes() == oneshot.to_bytes()
+        pids = {int(path.name) for path in tmp_path.iterdir()}
+        assert pids and os.getpid() not in pids
 
     @given(items=st.lists(st.integers(0, UNIVERSE - 1), min_size=50, max_size=400))
     @settings(max_examples=15, deadline=None)
     def test_property_cms_any_stream(self, items):
         stream = np.array(items, dtype=np.int64)
         spec = _spec("count-min")
-        saved = os.cpu_count
-        os.cpu_count = lambda: 8
-        try:
-            pipe = StreamPipeline(spec, batch_items=64, workers=3, backend="thread")
-            piped = pipe.run([stream])
-        finally:
-            os.cpu_count = saved
+        piped = StreamPipeline(spec, batch_items=64, workers=3).run([stream])
         oneshot = spec.build()
         oneshot.update_many(stream)
         assert np.array_equal(piped._table, oneshot._table)
@@ -231,7 +247,7 @@ class TestMultiWorkerCertificates:
 class TestPipelineBehavior:
     def test_feed_rechunks_large_arrays(self):
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=100, workers=1, backend="serial")
+        pipe = StreamPipeline(spec, batch_items=100, workers=1)
         pipe.start()
         pipe.feed(np.arange(1000) % UNIVERSE)
         pipe.finish()
@@ -243,7 +259,7 @@ class TestPipelineBehavior:
         """max_queue_depth never exceeds the configured bound."""
         spec = _spec("count-min")
         pipe = StreamPipeline(
-            spec, batch_items=100, queue_depth=2, workers=1, backend="serial"
+            spec, batch_items=100, queue_depth=2, workers=1
         )
         rng = np.random.default_rng(1)
         pipe.run(rng.integers(0, UNIVERSE, size=(40, 100)))
@@ -251,7 +267,7 @@ class TestPipelineBehavior:
 
     def test_snapshot_is_complete_and_isolated(self):
         spec = _spec("count-min")
-        pipe = StreamPipeline(spec, batch_items=50, workers=1, backend="serial")
+        pipe = StreamPipeline(spec, batch_items=50, workers=1)
         pipe.start()
         pipe.feed(np.arange(500) % UNIVERSE)
         snap = pipe.snapshot()
@@ -264,7 +280,7 @@ class TestPipelineBehavior:
 
     def test_error_in_sketching_thread_propagates(self):
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=64, workers=1, backend="serial")
+        pipe = StreamPipeline(spec, batch_items=64, workers=1)
         pipe.start()
         with pytest.raises(StreamError, match="outside universe"):
             # The bad id is detected on the sketching thread; feed/finish
@@ -277,7 +293,7 @@ class TestPipelineBehavior:
 
     def test_finish_is_idempotent_and_terminal(self):
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=64, workers=1, backend="serial")
+        pipe = StreamPipeline(spec, batch_items=64, workers=1)
         pipe.start()
         pipe.feed(np.array([1, 2, 3]))
         first = pipe.finish()
@@ -286,13 +302,13 @@ class TestPipelineBehavior:
             pipe.feed(np.array([1]))
 
     def test_feed_before_start_raises(self):
-        pipe = StreamPipeline(_spec("misra-gries"), workers=1, backend="serial")
+        pipe = StreamPipeline(_spec("misra-gries"), workers=1)
         with pytest.raises(StreamError, match="not started"):
             pipe.feed(np.array([1]))
 
     def test_context_manager(self):
         with StreamPipeline(
-            _spec("count-min"), batch_items=32, workers=1, backend="serial"
+            _spec("count-min"), batch_items=32, workers=1
         ) as pipe:
             pipe.feed(np.arange(100) % UNIVERSE)
         assert pipe.stats.items == 100
@@ -304,7 +320,7 @@ class TestPipelineBehavior:
             StreamPipeline(_spec("count-min"), queue_depth=0)
 
     def test_rejects_bad_batches(self):
-        pipe = StreamPipeline(_spec("count-min"), workers=1, backend="serial")
+        pipe = StreamPipeline(_spec("count-min"), workers=1)
         pipe.start()
         with pytest.raises(StreamError, match="1-D"):
             pipe.feed(np.zeros((2, 2), dtype=np.int64))
@@ -316,7 +332,7 @@ class TestPipelineBehavior:
         """A full queue stalls feed() until the consumer drains."""
         spec = _spec("misra-gries")
         pipe = StreamPipeline(
-            spec, batch_items=10, queue_depth=1, workers=1, backend="serial"
+            spec, batch_items=10, queue_depth=1, workers=1
         )
         gate = threading.Event()
         original = pipe._absorb
@@ -456,7 +472,7 @@ class TestTraffic:
 
     def test_pipeline_consumes_traffic(self):
         spec = _spec("space-saving")
-        pipe = StreamPipeline(spec, batch_items=512, workers=1, backend="serial")
+        pipe = StreamPipeline(spec, batch_items=512, workers=1)
         summary = pipe.run(
             bursty_traffic(UNIVERSE, total_items=10000, batch_items=512, rng=5)
         )

@@ -817,6 +817,60 @@ class TestOverloadProtection:
             client.close()
             handle.close()
 
+    def test_drain_answers_a_request_that_started_before_shutdown(self):
+        """A half-arrived request holds the drain open until it is answered;
+        a connection idle between requests is closed at once."""
+        mg = _misra_gries()
+        message = protocol.frame_message(
+            protocol.encode_request(protocol.OP_LOAD, name="mg", frame=wire.dump(mg))
+        )
+        handle = serve_in_thread()
+        server = handle.server
+        idle = Client(handle.host, handle.port)
+        raw = None
+        closer = threading.Thread(target=handle.close, kwargs={"grace": 5.0})
+
+        def wait_for(active: int, idle_count: int) -> None:
+            deadline = time.monotonic() + 5
+            while (server.active_connections, len(server._idle_writers)) != (
+                active,
+                idle_count,
+            ):
+                assert time.monotonic() < deadline, "server never got there"
+                time.sleep(0.005)
+
+        try:
+            idle.ping()
+            wait_for(active=1, idle_count=1)  # the client waits between requests
+            raw = socket.create_connection((handle.host, handle.port), timeout=10)
+            raw.sendall(message[:10])  # length prefix plus part of the body
+            wait_for(active=2, idle_count=1)  # the raw request has started
+            began = time.monotonic()
+            closer.start()
+            while server.active_connections != 1:  # the idle client goes first
+                assert time.monotonic() - began < 1.0, "idle connection kept"
+                time.sleep(0.005)
+            assert closer.is_alive()  # still draining the started request
+            raw.sendall(message[10:])
+            raw.settimeout(10)
+            (length,) = struct.unpack(">I", raw.recv(4, socket.MSG_WAITALL))
+            codec, size, merged = protocol.parse_load_ok(
+                raw.recv(length, socket.MSG_WAITALL)
+            )
+            assert (codec, size, merged) == ("misra-gries", mg.size_in_bits(), False)
+            assert raw.recv(1) == b""  # answered, then hung up
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            assert time.monotonic() - began < 2.0  # nowhere near the grace
+            assert "mg" in handle.registry
+        finally:
+            if raw is not None:
+                raw.close()
+            idle.close()
+            if closer.is_alive():
+                closer.join(timeout=10)
+            handle.close()
+
     def test_close_is_idempotent(self):
         handle = serve_in_thread()
         handle.close()
