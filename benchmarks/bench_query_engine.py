@@ -392,7 +392,13 @@ def bench_kernel_tiers(n: int, d: int, k: int, repeats: int) -> dict:
 
 
 def bench_stream_updates(length: int, universe: int, k: int, repeats: int) -> dict:
-    """update_many bulk ingestion vs one update() call per element."""
+    """update_many bulk ingestion vs one update() call per element.
+
+    The bulk call folds the whole stream through the Misra-Gries merge
+    rule, so both answers are checked against the certificate rather
+    than against each other: every estimate undercounts by at most
+    ``m / (k + 1)``.
+    """
     rng = np.random.default_rng(3)
     stream = (rng.zipf(1.3, length) % universe).astype(np.int64)
 
@@ -409,7 +415,14 @@ def bench_stream_updates(length: int, universe: int, k: int, repeats: int) -> di
 
     item_time, a = _time(itemwise, repeats)
     bulk_time, b = _time(bulk, repeats)
-    assert a._counters == b._counters, "bulk path not bit-identical"
+    true = np.bincount(stream, minlength=universe)
+    for mg in (a, b):
+        est = np.zeros_like(true)
+        est[list(mg._counters)] = list(mg._counters.values())
+        deficit = true - est
+        assert 0 <= deficit.min() and deficit.max() <= mg.max_undercount(), (
+            "Misra-Gries estimate outside its undercount certificate"
+        )
     return {
         "config": {"length": length, "universe": universe, "k": k},
         "itemwise": {"seconds": item_time, "updates_per_sec": length / item_time},
@@ -498,8 +511,8 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: bench_* files are opt-in).
 # ----------------------------------------------------------------------
-def test_packed_engine_speedup_full():
-    record = run(quick=False)
+def test_packed_engine_speedup_full(tmp_path):
+    record = run(quick=False, out_path=tmp_path / "BENCH_query_engine.json")
     tentpole = record["results"]["all_frequencies"]
     print(
         f"\nall_frequencies (n=4096, d=24, k=3): "

@@ -408,8 +408,8 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: bench_* files are opt-in).
 # ----------------------------------------------------------------------
-def test_serializer_speedup_quick():
-    record = run(quick=True)
+def test_serializer_speedup_quick(tmp_path):
+    record = run(quick=True, out_path=tmp_path / "BENCH_serialize.json")
     tentpole = record["results"]["bitwriter_payload"]
     print(
         f"\nbitwriter_payload ({tentpole['config']['bits']} bits): "

@@ -1,37 +1,34 @@
-"""Micro-batch stream pipeline: serial vs process-pool ingestion.
+"""Micro-batch stream pipeline: per-kind batch folds against itemwise updates.
 
-Measures the PR-8 tentpole -- :class:`repro.streaming.pipeline.StreamPipeline`
-partitioning an unbounded item stream into micro-batches and sketching each
-batch's partials in parallel worker processes (one summary partial per
-worker, folded by ``merge_summaries``) -- against the serial
-``update_many`` path on the same batches.
+Measures :class:`repro.streaming.pipeline.StreamPipeline` ingesting one
+Zipf stream into each pipeline summary kind, where every micro-batch is
+one ``update_many`` fold in the sketching thread.
 
 Cases:
 
-* ``pipeline_backends``: items/sec for the same Zipf stream pushed through
-  the pipeline with one worker (``serial``: the resident summary's own
-  ``update_many``) and with several (``process``: partials on the shared
-  process pool), plus the bare ``update_many`` loop (no queue, no thread)
-  as the floor.  Count-min is the timed summary because its partials sum
-  exactly, so both must produce *bit-identical* frames -- correctness is
-  asserted, not sampled.
+* ``batch_fold``: for count-min, misra-gries, space-saving and reservoir,
+  items/sec through the pipeline, through a bare ``update_many`` loop
+  over the same batches (no queue, no thread), and through the classic
+  itemwise ``update()`` loop on the stream's first batch.  Every kind's
+  answer is checked, not sampled: the pipeline frame equals the bare
+  loop's, and each summary meets its certificate over the whole stream
+  (Count-Min: that bare loop, which adds exact counts; Misra-Gries:
+  ``0 <= true - est <= m/(k+1)`` for every item; Space-Saving:
+  ``true <= est <= true + error <= true + m/k`` for every tracked item;
+  reservoir: a full sample of ids from the stream).  The pipeline must
+  beat the itemwise loop by :data:`MIN_FOLD_SPEEDUP` per item.
 * ``queue_behavior``: the bounded-queue stats for a slow-consumer run --
   max resident queue depth (must never exceed the configured bound) and
   producer backpressure wait time, the "bounded RSS" contract in numbers.
-* ``durability_overhead``: socket INGEST throughput into ``serve_in_thread``
-  with the write-ahead log off vs on (PR 9's ``--data-dir``), isolating
-  the fsync-before-ack price per acknowledged batch.
 
-On hosts with fewer than 4 CPUs the worker count clamps toward 1, so the
-committed JSON from such a host records few workers (``config.cpu_count``
-says how many cores) and the multi-core acceptance assertion (process >=
-1.5x serial) is gated accordingly, mirroring ``bench_query_engine.py``.
+The record carries the host's CPU count and whether the native kernel
+tier loaded.  Writes ``BENCH_stream.json`` (repo root) unless ``--out``
+says otherwise.  Run directly::
 
-Writes ``BENCH_stream.json`` (repo root).  Run directly::
+    PYTHONPATH=src python benchmarks/bench_stream.py [--quick] [--out PATH]
 
-    PYTHONPATH=src python benchmarks/bench_stream.py [--quick]
-
-or through pytest (``pytest benchmarks/bench_stream.py -s``).
+or through pytest (``pytest benchmarks/bench_stream.py -s``), which
+writes its record to a temporary directory.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -50,24 +46,27 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import wire  # noqa: E402
-from repro.server import Client, serve_in_thread  # noqa: E402
-from repro.streaming.pipeline import StreamPipeline, SummarySpec  # noqa: E402
+from repro.db import _native  # noqa: E402
+from repro.streaming.pipeline import (  # noqa: E402
+    SUMMARY_KINDS,
+    StreamPipeline,
+    SummarySpec,
+)
 from repro.streaming.traffic import zipf_traffic  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_stream.json"
 
-#: PR-8 acceptance floor on a real multi-core host: the process pool must
-#: beat the serial per-batch path by this factor on the large stream.
-MIN_PROCESS_SPEEDUP = 1.5
+#: Every kind's pipeline must ingest at least this many times as many
+#: items per second as the itemwise ``update()`` loop.
+MIN_FOLD_SPEEDUP = 10.0
 
 UNIVERSE = 100_000
 
 
-def _spec(seed: int = 7) -> SummarySpec:
-    # Count-min: the one summary whose multi-worker fold is bit-identical
-    # to the serial path, so every timed variant can be equality-checked.
-    return SummarySpec(kind="count-min", universe=UNIVERSE, width=4096, depth=4, seed=seed)
+def _spec(kind: str = "count-min", seed: int = 7) -> SummarySpec:
+    return SummarySpec(
+        kind=kind, universe=UNIVERSE, k=64, width=4096, depth=4, size=256, seed=seed
+    )
 
 
 def _batches(total_items: int, batch_items: int) -> list[np.ndarray]:
@@ -94,60 +93,95 @@ def _time(fn, repeats: int):
     return best, result
 
 
-def bench_pipeline_backends(
-    total_items: int, batch_items: int, repeats: int
-) -> dict:
-    """items/sec: bare update_many vs the pipeline serial and on processes."""
+def _certify(kind: str, summary, true: np.ndarray, bare) -> dict:
+    """Assert ``kind``'s certificate over the stream; report its error."""
+    total = int(true.sum())
+    assert summary.stream_length == total, f"{kind}: stream_length drifted"
+    if kind == "count-min":
+        assert summary.to_bytes() == bare.to_bytes(), (
+            "count-min pipeline diverged from bare update_many"
+        )
+        return {}
+    if kind == "misra-gries":
+        est = np.zeros_like(true)
+        for item, count in summary._counters.items():
+            est[item] = count
+        deficit = true - est
+        bound = summary.max_undercount()
+        assert deficit.min() >= 0 and deficit.max() <= bound, (
+            f"misra-gries undercount {deficit.max()} outside [0, {bound}]"
+        )
+        return {"max_error": int(deficit.max()), "bound": bound}
+    if kind == "space-saving":
+        bound = summary.max_overcount()
+        worst = 0
+        for item, count in summary._counts.items():
+            error = summary._errors[item]
+            assert true[item] <= count <= true[item] + error, (
+                f"space-saving item {item}: {count} outside its certificate"
+            )
+            assert error <= bound, f"space-saving error {error} > {bound}"
+            worst = max(worst, count - int(true[item]))
+        return {"max_error": worst, "bound": bound}
+    sample = np.asarray(summary.sample)
+    assert sample.size == summary.size, "reservoir not full"
+    assert (true[sample] > 0).all(), "reservoir holds an id never streamed"
+    return {}
+
+
+def bench_batch_fold(total_items: int, batch_items: int, repeats: int) -> dict:
+    """Per kind: items/sec through the pipeline, bare folds and itemwise."""
     batches = _batches(total_items, batch_items)
-    workers = max(1, min(4, os.cpu_count() or 1))
-    spec = _spec()
-
-    def bare():
-        summary = spec.build()
-        for batch in batches:
-            summary.update_many(batch)
-        return summary
-
-    def piped(n_workers: int):
-        def run():
-            pipeline = StreamPipeline(spec, batch_items=batch_items, workers=n_workers)
-            summary = pipeline.run(batches)
-            return summary, pipeline.stats
-
-        return run
-
-    bare_time, reference = _time(bare, repeats)
-    reference_bytes = reference.to_bytes()
-
+    true = np.bincount(np.concatenate(batches), minlength=UNIVERSE)
+    itemwise_items = batches[0].tolist()
     result: dict = {
         "config": {
             "universe": UNIVERSE,
             "total_items": total_items,
             "batch_items": batch_items,
+            "itemwise_items": len(itemwise_items),
             "cpu_count": os.cpu_count(),
-            "workers": workers,
-            "summary": "count-min(width=4096, depth=4)",
-        },
-        "bare_update_many": {
-            "seconds": bare_time,
-            "items_per_sec": total_items / bare_time,
+            "native_tier": _native.available(),
+            "summaries": "count-min(width=4096, depth=4), misra-gries(k=64), "
+            "space-saving(k=64), reservoir(size=256)",
         },
     }
-    for label, n_workers in (("serial", 1), ("process", workers)):
-        seconds, (summary, stats) = _time(piped(n_workers), repeats)
-        assert summary.to_bytes() == reference_bytes, (
-            f"{label} pipeline diverged from the serial reference"
+    for kind in SUMMARY_KINDS:
+        spec = _spec(kind)
+
+        def bare():
+            summary = spec.build()
+            for batch in batches:
+                summary.update_many(batch)
+            return summary
+
+        def piped():
+            return StreamPipeline(spec, batch_items=batch_items).run(batches)
+
+        def itemwise():
+            summary = spec.build()
+            for item in itemwise_items:
+                summary.update(item)
+            return summary
+
+        bare_time, reference = _time(bare, repeats)
+        pipe_time, summary = _time(piped, repeats)
+        item_time, _ = _time(itemwise, repeats)
+        assert summary.to_bytes() == reference.to_bytes(), (
+            f"{kind} pipeline diverged from update_many over the same batches"
         )
-        result[label] = {
-            "seconds": seconds,
-            "items_per_sec": total_items / seconds,
-            "batches": stats.batches,
-            "folds": stats.folds,
-            "max_queue_depth": stats.max_queue_depth,
-            "feed_wait_s": stats.feed_wait_s,
-            "sketch_s": stats.sketch_s,
+        pipe_rate = total_items / pipe_time
+        item_rate = len(itemwise_items) / item_time
+        result[kind] = {
+            "pipeline": {"seconds": pipe_time, "items_per_sec": pipe_rate},
+            "bare_update_many": {
+                "seconds": bare_time,
+                "items_per_sec": total_items / bare_time,
+            },
+            "itemwise": {"seconds": item_time, "items_per_sec": item_rate},
+            "speedup_over_itemwise": pipe_rate / item_rate,
+            **_certify(kind, summary, true, reference),
         }
-    result["speedup"] = result["serial"]["seconds"] / result["process"]["seconds"]
     return result
 
 
@@ -161,7 +195,7 @@ def bench_queue_behavior(total_items: int, batch_items: int) -> dict:
     batches = _batches(total_items, batch_items)
     queue_depth = 2
     pipeline = StreamPipeline(
-        _spec(), batch_items=batch_items, queue_depth=queue_depth, workers=1
+        _spec(), batch_items=batch_items, queue_depth=queue_depth
     )
     began = time.perf_counter()
     pipeline.run(batches)
@@ -186,64 +220,6 @@ def bench_queue_behavior(total_items: int, batch_items: int) -> dict:
     }
 
 
-def bench_durability_overhead(
-    total_items: int, batch_items: int, repeats: int
-) -> dict:
-    """Socket INGEST throughput with the write-ahead log off vs on.
-
-    Each acknowledged INGEST on a ``--data-dir`` server appends one
-    CRC-framed record and ``fsync``\\ s it before the ack, so the
-    overhead ratio is the per-batch durability price at this batch
-    size.  Both variants run the same client loop against
-    ``serve_in_thread`` on loopback; the final resident frames must be
-    bit-identical (count-min, exact partial sums).
-    """
-    batches = _batches(total_items, batch_items)
-    spec = _spec()
-    empty_frame = wire.dump(spec.build())
-
-    def run_once(durable: bool):
-        with tempfile.TemporaryDirectory(prefix="repro_bench_wal_") as tmp:
-            target = str(Path(tmp) / "data") if durable else None
-            with serve_in_thread(data_dir=target) as handle:
-                with Client(handle.host, handle.port) as client:
-                    client.load("cm", empty_frame)
-                    began = time.perf_counter()
-                    for batch in batches:
-                        client.ingest("cm", batch)
-                    seconds = time.perf_counter() - began
-                    [(_, summary)], _ = handle.registry.dump_for_snapshot()
-                    frame = wire.dump(summary)
-        return seconds, frame
-
-    result: dict = {
-        "config": {
-            "total_items": total_items,
-            "batch_items": batch_items,
-            "batches": len(batches),
-            "summary": "count-min(width=4096, depth=4)",
-        },
-    }
-    frames = {}
-    for label, durable in (("wal_off", False), ("wal_on", True)):
-        best = float("inf")
-        for _ in range(repeats):
-            seconds, frame = run_once(durable)
-            best = min(best, seconds)
-            frames[label] = frame
-        result[label] = {
-            "seconds": best,
-            "items_per_sec": total_items / best,
-        }
-    assert frames["wal_on"] == frames["wal_off"], (
-        "journaled ingestion diverged from the in-memory path"
-    )
-    result["overhead_ratio"] = (
-        result["wal_on"]["seconds"] / result["wal_off"]["seconds"]
-    )
-    return result
-
-
 def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
     repeats = 2 if quick else 3
     if quick:
@@ -251,30 +227,19 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
     else:
         total_items, batch_items = 4_000_000, 1 << 17
     results = {
-        "pipeline_backends": bench_pipeline_backends(
-            total_items, batch_items, repeats
-        ),
+        "batch_fold": bench_batch_fold(total_items, batch_items, repeats),
         "queue_behavior": bench_queue_behavior(
             min(total_items, 1_000_000), batch_items
         ),
-        "durability_overhead": bench_durability_overhead(
-            min(total_items, 1_000_000), batch_items, repeats
-        ),
     }
-    backends = results["pipeline_backends"]
-    # PR-8 acceptance: with real cores to shard over, the process pool
-    # beats the serial per-batch path by >= 1.5x on the large stream.  On
-    # fewer cores the worker count clamps, so the committed record
-    # documents the host instead.
-    if (os.cpu_count() or 1) >= 4:
-        assert backends["speedup"] >= MIN_PROCESS_SPEEDUP, (
-            f"process pipeline {backends['speedup']:.2f}x < "
-            f"{MIN_PROCESS_SPEEDUP}x serial on a "
-            f"{os.cpu_count()}-core host"
+    for kind in SUMMARY_KINDS:
+        speedup = results["batch_fold"][kind]["speedup_over_itemwise"]
+        assert speedup >= MIN_FOLD_SPEEDUP, (
+            f"{kind} pipeline only {speedup:.1f}x the itemwise loop "
+            f"(floor {MIN_FOLD_SPEEDUP}x)"
         )
     record = {
         "benchmark": "stream_pipeline",
-        "pr": 9,
         "quick": quick,
         "results": results,
     }
@@ -282,27 +247,40 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
     return record
 
 
+def _report(record: dict) -> None:
+    fold = record["results"]["batch_fold"]
+    config = fold["config"]
+    print(
+        f"batch_fold (items={config['total_items']}, "
+        f"batch={config['batch_items']}, {config['cpu_count']} cpus, "
+        f"native tier {'loaded' if config['native_tier'] else 'absent'}):"
+    )
+    for kind in SUMMARY_KINDS:
+        row = fold[kind]
+        error = (
+            f", max error {row['max_error']} of {row['bound']:.0f}"
+            if "bound" in row
+            else ""
+        )
+        print(
+            f"  {kind:<13} pipeline {row['pipeline']['items_per_sec']:>12,.0f} "
+            f"items/sec, itemwise {row['itemwise']['items_per_sec']:>10,.0f} "
+            f"({row['speedup_over_itemwise']:.0f}x){error}"
+        )
+    queue = record["results"]["queue_behavior"]
+    print(
+        f"queue_behavior (depth={queue['config']['queue_depth']}): "
+        f"max depth {queue['max_queue_depth']}, "
+        f"feed wait {queue['feed_wait_s']:.3f}s over {queue['batches']} batches"
+    )
+
+
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: bench_* files are opt-in).
 # ----------------------------------------------------------------------
-def test_stream_pipeline_quick():
-    record = run(quick=True)
-    backends = record["results"]["pipeline_backends"]
-    print(
-        f"\npipeline_backends: bare "
-        f"{backends['bare_update_many']['items_per_sec']:,.0f} items/sec, "
-        f"serial {backends['serial']['items_per_sec']:,.0f}, "
-        f"process {backends['process']['items_per_sec']:,.0f} "
-        f"({backends['speedup']:.2f}x) "
-        f"with {backends['config']['workers']} workers"
-    )
-    wal = record["results"]["durability_overhead"]
-    print(
-        f"durability_overhead: wal off "
-        f"{wal['wal_off']['items_per_sec']:,.0f} items/sec, "
-        f"wal on {wal['wal_on']['items_per_sec']:,.0f} "
-        f"({wal['overhead_ratio']:.2f}x slower)"
-    )
+def test_stream_pipeline_quick(tmp_path):
+    print()
+    _report(run(quick=True, out_path=tmp_path / "BENCH_stream.json"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,41 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=Path, default=DEFAULT_OUT, help="JSON output path"
     )
     args = parser.parse_args(argv)
-    record = run(quick=args.quick, out_path=args.out)
-    backends = record["results"]["pipeline_backends"]
-    config = backends["config"]
-    print(
-        f"pipeline_backends (items={config['total_items']}, "
-        f"batch={config['batch_items']}, workers={config['workers']} of "
-        f"{config['cpu_count']} cpus):"
-    )
-    print(
-        f"  bare update_many "
-        f"{backends['bare_update_many']['items_per_sec']:,.0f} items/sec"
-    )
-    for label in ("serial", "process"):
-        row = backends[label]
-        print(
-            f"  {label:<8} {row['items_per_sec']:,.0f} items/sec "
-            f"(queue depth <= {row['max_queue_depth']}, "
-            f"feed wait {row['feed_wait_s']:.3f}s, "
-            f"sketch {row['sketch_s']:.3f}s)"
-        )
-    print(f"  speedup: process {backends['speedup']:.2f}x")
-    queue = record["results"]["queue_behavior"]
-    print(
-        f"queue_behavior (depth={queue['config']['queue_depth']}): "
-        f"max depth {queue['max_queue_depth']}, "
-        f"feed wait {queue['feed_wait_s']:.3f}s over {queue['batches']} batches"
-    )
-    wal = record["results"]["durability_overhead"]
-    print(
-        f"durability_overhead ({wal['config']['batches']} INGEST batches of "
-        f"{wal['config']['batch_items']}): "
-        f"wal off {wal['wal_off']['items_per_sec']:,.0f} items/sec, "
-        f"wal on {wal['wal_on']['items_per_sec']:,.0f} "
-        f"({wal['overhead_ratio']:.2f}x slower)"
-    )
+    _report(run(quick=args.quick, out_path=args.out))
     print(f"wrote {args.out}")
     return 0
 

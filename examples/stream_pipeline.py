@@ -8,8 +8,8 @@ stream length.  This example runs that loop end to end:
    items) with :func:`repro.streaming.traffic.bursty_traffic`;
 2. push it through :class:`repro.streaming.pipeline.StreamPipeline`,
    which partitions the stream into micro-batches behind a bounded
-   queue, sketches batches on worker processes, and folds the
-   partials so the resident summary is *always* complete and queryable;
+   queue and folds each whole batch into the resident summary, so it
+   is *always* complete and queryable;
 3. snapshot the resident summary mid-stream (the query party ``Q`` never
    waits for the stream to end);
 4. compare the final heavy hitters and count-min estimates against exact
@@ -61,8 +61,7 @@ def main() -> None:
 
     print(
         f"ingested {stats.items:,} items in {stats.batches} micro-batches "
-        f"({pipeline.workers} workers, peak queue depth "
-        f"{stats.max_queue_depth})"
+        f"(peak queue depth {stats.max_queue_depth})"
     )
     raw_bits = TOTAL_ITEMS * int(np.ceil(np.log2(UNIVERSE)))
     print(

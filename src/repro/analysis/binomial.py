@@ -9,8 +9,8 @@ truly meets a (eps, delta) target -- the number an implementation could use
 if it trusted exact tails instead of bounds.
 
 ``scipy.stats`` is imported on first use, not with the module: this module
-sits on ``import repro``'s path, which every spawned process-pool worker
-pays before its first shard, and ``scipy.stats`` alone took about 1.1 s of
+sits on ``import repro``'s path, which the sketch server and ``repro
+stream`` pay at start-up, and ``scipy.stats`` alone took about 1.1 s of
 the 1.4 s that import cost.
 """
 

@@ -32,10 +32,9 @@ Thirteen commands cover the library's everyday entry points:
   registry (name collisions fold shards via the merge rules);
 * ``stream``      -- ingest an unbounded item stream (stdin or file,
   text or raw u64) into a streaming summary with bounded memory: the
-  micro-batch pipeline sketches partitions in parallel worker processes
-  and folds partials via the merge rules, writing a sketch
-  file (``--out``) or pushing batches into a live daemon
-  (``--connect``, the ``INGEST`` verb).
+  micro-batch pipeline folds each batch into the summary at numpy
+  speed, writing a sketch file (``--out``) or pushing batches into a
+  live daemon (``--connect``, the ``INGEST`` verb).
 
 ``sketch`` and ``query`` realise the paper's ``(S, Q)`` split across a
 process boundary: the query process never sees the database, only the
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="ingest an unbounded item stream into a summary with bounded "
-             "memory (micro-batch pipeline over worker processes)",
+             "memory (micro-batch pipeline)",
     )
     stream.add_argument(
         "source",
@@ -323,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--max-batch-items", type=int, default=None,
-        help="micro-batch size; the memory/backpressure granule "
-             "(default: 65536)",
+        help="micro-batch size; the memory/backpressure granule and the "
+             "unit each summary folds at once (default: 65536)",
     )
     stream.add_argument(
         "--queue-depth", type=int, default=None,
@@ -334,11 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--max-items", type=int, default=None,
         help="stop after this many items (default: drain the source)",
-    )
-    stream.add_argument(
-        "--workers", type=int, default=None,
-        help="partition-sketching worker processes per batch "
-             "(default: auto)",
     )
     stream.add_argument(
         "--out", default=None,
@@ -1030,10 +1024,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 else args.max_batch_items
             )
             pipeline = StreamPipeline(
-                spec,
-                batch_items=batch_items,
-                queue_depth=queue_depth,
-                workers=args.workers,
+                spec, batch_items=batch_items, queue_depth=queue_depth
             )
             began = time.perf_counter()
             summary = pipeline.run(batches)
@@ -1046,7 +1037,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     rate = stats.items / elapsed if elapsed > 0 else float("inf")
     print(
         f"wrote {args.out}: {type(summary).__name__} over {stats.items} items "
-        f"in {stats.batches} batches ({pipeline.workers} workers), payload "
+        f"in {stats.batches} batches, payload "
         f"{summary.size_in_bits()} bits, frame {frame_bytes} bytes, "
         f"{rate:,.0f} items/sec"
     )

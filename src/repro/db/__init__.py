@@ -47,19 +47,14 @@ sweeps, else one shard per core, always clamped to ``os.cpu_count()``).
 Shards are contiguous slices of one preallocated output running the same
 kernel code, so results are bit-identical for every worker count, which
 the differential suites in ``tests/test_parallel_eval.py`` enforce.
-Where the shards run is decided by the kind of job, not by a setting
-(:mod:`repro.db.backends`):
-
-* **Query sweeps run inline or on threads.**  The AND / popcount calls
-  release the GIL, so threads share the packed words in place.  Measured
-  with 2 workers on a 2-vCPU host, the ``C(28, 4)`` sweep over 65,536
-  rows took 40 ms on threads and 67 ms on a shared-memory process pool
-  with the native kernels (104 vs 139 ms with numpy).
-* **Stream-pipeline partials run inline or on the shared-memory process
-  pool** (:mod:`repro.streaming.pipeline`).  Building a summary partial
-  is Python-level work that holds the GIL, so with 2 workers processes
-  sketch Misra-Gries, Space-Saving and reservoir partials 1.6-1.9x
-  faster than threads (Count-Min about even).
+Shards run inline for one worker and on threads for more
+(:mod:`repro.db.backends`).  The AND / popcount calls release the GIL, so
+threads share the packed words in place.  Measured with 2 workers on a
+2-vCPU host, the ``C(28, 4)`` sweep over 65,536 rows took 40 ms on
+threads and 67 ms on a shared-memory process pool with the native
+kernels (104 vs 139 ms with numpy).  Stream ingestion does not shard: a
+micro-batch folds into its summary at numpy speed in one call
+(:mod:`repro.streaming.pipeline`).
 
 **Kernel implementation tiers** -- *what runs inside* each shard follows
 from the host (:func:`~repro.db.packed.resolve_kernel`):

@@ -8,11 +8,22 @@ sketches use -- so the E-STRM benchmark can put them on one axis against
 uniform sampling.
 
 Bulk ingestion: :meth:`StreamSummary.update_many` consumes a whole item
-array at once.  Subclasses override ``_update_many`` with a vectorized fast
-path that is required to leave the summary in *bit-identical* state to the
-equivalent sequence of itemwise updates (the property tests enforce this);
-the default falls back to the itemwise loop.  ``extend`` routes through
-``update_many``, so E-STRM runs never pay one Python call per element.
+array at once through the subclass's ``_update_many`` (the default is the
+itemwise loop).  Two contracts, one per kind of summary:
+
+* Count-Min and Lossy Counting leave *bit-identical* state to the
+  equivalent sequence of itemwise updates, so batch boundaries are not
+  observable.
+* Misra-Gries, Space-Saving and the item reservoir fold each call once:
+  the two counter summaries summarize the batch exactly and fold it in
+  with their merge rule (:mod:`repro.streaming.merge`), and the reservoir
+  draws all of the batch's Algorithm R positions in one vectorized call.
+  Each keeps its summary's guarantee over the whole stream, but the
+  state depends on where the batches split.
+
+Itemwise :meth:`~StreamSummary.update` is the classic algorithm for every
+summary.  ``extend`` routes through ``update_many``, so E-STRM runs never
+pay one Python call per element.
 
 Size accounting convention: a counter or stored item costs
 ``ceil(log2(universe))`` bits for the id plus 64 bits for the count, the
@@ -44,61 +55,6 @@ def item_id_bits(universe: int) -> int:
     if universe < 1:
         raise StreamError(f"universe must be >= 1, got {universe}")
     return max(1, math.ceil(math.log2(max(universe, 2))))
-
-
-def drain_counter_batch(
-    summary: "StreamSummary", counts: dict[int, int], k: int, items: np.ndarray
-) -> None:
-    """Shared bulk path for k-counter summaries (Misra-Gries, SpaceSaving).
-
-    Both summaries mutate their tracked-key set only when an *untracked*
-    item arrives at a full table (Misra-Gries decrements everything,
-    SpaceSaving evicts the minimum); increments of tracked items commute.
-    So: flag tracked items against the current key set in one
-    :func:`numpy.isin` sweep, fold each maximal tracked run with one
-    :func:`numpy.unique` aggregation, and replay only the mutating events
-    itemwise -- rebuilding the flags after each one, since evictions
-    invalidate them.  Rebuilds are capped; pathological all-miss batches
-    degrade to the plain itemwise loop rather than quadratic rescans.
-
-    State after this call is bit-identical to itemwise updates: run folds
-    apply exactly the increments the loop would, in a commuting region, and
-    every order-sensitive event goes through the summary's own ``_update``.
-    """
-    total = int(items.size)
-    pos = 0
-    rebuilds = 0
-    while pos < total:
-        if not counts or rebuilds >= 64:
-            for item in items[pos:].tolist():
-                summary._update(item)
-            return
-        keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        tracked = np.isin(items[pos:], keys)
-        rebuilds += 1
-        misses = np.flatnonzero(~tracked)
-        chunk_start = 0  # relative to pos
-        for miss in misses.tolist():
-            if miss > chunk_start:
-                vals, reps = np.unique(
-                    items[pos + chunk_start : pos + miss], return_counts=True
-                )
-                for v, c in zip(vals.tolist(), reps.tolist()):
-                    counts[v] += c
-            item = int(items[pos + miss])
-            mutates = item not in counts and len(counts) >= k
-            summary._update(item)
-            chunk_start = miss + 1
-            if mutates:
-                # Keys were evicted; the tracked flags are stale.
-                break
-        else:
-            if chunk_start < tracked.size:
-                vals, reps = np.unique(items[pos + chunk_start :], return_counts=True)
-                for v, c in zip(vals.tolist(), reps.tolist()):
-                    counts[v] += c
-            return
-        pos += chunk_start
 
 
 class StreamSummary(ABC):
@@ -139,9 +95,11 @@ class StreamSummary(ABC):
 
         Array-like inputs go straight to :meth:`update_many`; lazy
         iterables are consumed in :data:`EXTEND_CHUNK_ITEMS`-sized chunks,
-        so an unbounded generator never materializes in memory.  State is
-        bit-identical to one-shot ingestion either way: ``update_many``
-        batch boundaries are not observable (the property tests pin this).
+        so an unbounded generator never materializes in memory.  Each
+        chunk is one ``update_many`` call: for the summaries that fold a
+        batch at a time (Misra-Gries, Space-Saving, the reservoir) the
+        state is that of ``update_many`` over the same chunks; for
+        Count-Min and Lossy Counting it equals one-shot ingestion.
         """
         if isinstance(items, (np.ndarray, Sequence)):
             arr = np.asarray(items)
@@ -163,8 +121,10 @@ class StreamSummary(ABC):
 
         Validates the batch up front (all-or-nothing: a batch containing an
         out-of-universe id is rejected before any item is applied), then
-        hands it to the summary's ``_update_many`` fast path.  The resulting
-        state is bit-identical to calling :meth:`update` per item.
+        hands it to the summary's ``_update_many`` fast path.  Count-Min
+        and Lossy Counting end bit-identical to calling :meth:`update` per
+        item; Misra-Gries, Space-Saving and the reservoir fold the batch
+        once (see the module docstring) and keep their guarantees.
         """
         arr = np.asarray(items)
         if arr.ndim > 1:

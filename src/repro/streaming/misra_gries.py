@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import StreamError
-from .base import COUNT_BITS, StreamSummary, drain_counter_batch, item_id_bits
+from .base import COUNT_BITS, StreamSummary, item_id_bits
 
 __all__ = ["MisraGries"]
 
@@ -49,9 +49,28 @@ class MisraGries(StreamSummary):
                     del counters[key]
 
     def _update_many(self, items: np.ndarray) -> None:
-        """Bulk path: fold runs of tracked items, replay decrement events."""
-        self.stream_length += int(items.size)
-        drain_counter_batch(self, self._counters, self.k, items)
+        """Bulk path: summarize the batch exactly, then merge it in.
+
+        The batch's exact histogram is cut to ``k`` counters by
+        subtracting its (k+1)-th largest count (which is at most
+        ``len(items) / (k + 1)``) and folded in with
+        :func:`~repro.streaming.merge.merge_misra_gries`, so the
+        ``m / (k + 1)`` undercount bound holds over the whole stream.
+        """
+        from .merge import merge_misra_gries
+
+        values, counts = np.unique(items, return_counts=True)
+        if values.size > self.k:
+            cutoff = np.partition(counts, values.size - self.k - 1)[
+                values.size - self.k - 1
+            ]
+            keep = counts > cutoff
+            values, counts = values[keep], counts[keep] - cutoff
+        batch = MisraGries(self.universe, self.k)
+        batch.stream_length = int(items.size)
+        batch._counters = dict(zip(values.tolist(), counts.tolist()))
+        merged = merge_misra_gries(self, batch)
+        self._counters, self.stream_length = merged._counters, merged.stream_length
 
     def estimate_count(self, item: int) -> float:
         """Stored counter (0 if untracked); undercounts by <= m/(k+1)."""

@@ -1,63 +1,36 @@
-"""Bounded-memory micro-batch ingestion: the driver/executor pipeline.
+"""Bounded-memory micro-batch ingestion: the producer/sketcher pipeline.
 
 The paper's sketches only matter operationally if the system can *build*
 them from an unbounded stream in bounded memory at hardware speed.  This
-module supplies that layer, in the MapReduce count-sketch shape: the
-driver partitions the incoming item stream into micro-batches behind a
-bounded queue (a full queue blocks the producer -- backpressure, not
-buffering), each micro-batch is partitioned across shard workers that
-each build **one summary partial** over their slice through the existing
-vectorized ``update_many`` fast paths, and the partials are folded into
-the resident summary via the mergeable-summary rules of
-:mod:`repro.streaming.merge`.  The resident object is therefore always a
-*complete*, queryable summary of some prefix of the stream -- never a
-half-merged intermediate.
+module supplies that layer: the producer's item stream is partitioned
+into micro-batches behind a bounded queue (a full queue blocks the
+producer -- backpressure, not buffering), and one sketching thread folds
+each micro-batch into the resident summary with its ``update_many``.  The
+resident object is therefore always a *complete*, queryable summary of
+some prefix of the stream -- never a half-applied batch.
 
-Worker processes
-----------------
-With more than one worker, partials are sketched on the shared
-:data:`~repro.db.backends.PROCESS_POOL`.  ``workers`` is the only
-setting; the executor is not, because building a partial is
-Python-level work that holds the GIL (Space-Saving's and Misra-Gries'
-counter updates, reservoir sampling, frame encoding), so threads would
-mostly take turns.  Measured over 1 M Zipf items in 131,072-item
-batches with 2 workers on a 2-vCPU host, processes beat threads in 5 of
-5 alternating rounds: Misra-Gries 267 ms against 422 ms, Space-Saving
-1.6 s against 3.1 s, reservoir 1.6 s against 2.9 s, with identical
-frames; Count-Min was about even (170 vs 189 ms, faster in 3 of 5).
-Against one worker (the resident ``update_many``) on the same stream,
-the pool won 5 of 5 rounds for Misra-Gries (248 ms against 2.3 s),
-Space-Saving (1.4 s against 3.6 s) and reservoir (1.5 s against 2.4 s),
-and lost 5 of 5 for Count-Min (126 ms against 100 ms), whose one-worker
-path is already vectorized (one ``bincount`` per table row).
-The batch array is published once into named shared memory -- **no
-per-item pickling** -- every worker runs the module-level
-:func:`_partial_sketch_kernel` over its contiguous slice, and each
-partial travels back as a serialized wire frame in a preallocated
-output buffer.  The sketching thread decodes and folds the frames
-with :func:`~repro.streaming.merge.merge_summaries`, so the shard
-results cross process boundaries exactly as distributed-ingest shards
-do over the network -- one codec path end to end.
+Each batch is one ``update_many`` call, and every summary kind folds it
+at numpy speed in this process (:mod:`repro.streaming.base`): Count-Min
+adds one ``bincount`` per table row, Misra-Gries and Space-Saving
+summarize the batch exactly (``np.unique``) and fold it in with their
+merge rules (:mod:`repro.streaming.merge`), and the reservoir draws all
+of the batch's Algorithm R positions in one vectorized call.  Over 1 M
+Zipf items (universe 100,000) in 131,072-item batches on a 2-vCPU host,
+a fold of the whole stream took 11 ms for Misra-Gries, 15 ms for
+Space-Saving, 14 ms for the reservoir and 114 ms for Count-Min.  A
+two-worker process pool took 0.25-1.5 s for the first three, so the
+pipeline starts no worker processes.
 
 Guarantees
 ----------
-* ``workers == 1`` bypasses the partial path entirely and feeds the
-  resident summary's own ``update_many``, so single-worker pipeline
-  state is **bit-identical** to one-shot bulk ingestion.
-* Multi-worker folds inherit each summary's merge certificates:
-  Misra-Gries undercounts by at most ``m/(k+1)`` over the combined
-  stream, SpaceSaving overcounts by at most ``m/k``, and a
-  non-conservative Count-Min table is *exactly* the one-shot table
-  (partial bincounts add), so CMS pipelines are bit-identical at every
-  worker count.
+* Pipeline state is **bit-identical** to ``update_many`` over the same
+  micro-batches, for every summary kind; for Count-Min (whose bulk path
+  adds exact counts) that is also one-shot ingestion of the whole stream.
+* Misra-Gries undercounts by at most ``m/(k+1)`` over the whole stream,
+  Space-Saving overcounts by at most ``m/k``, and the reservoir is a
+  uniform sample of the stream.
 * Peak resident memory is bounded by ``queue_depth + 2`` micro-batches
-  plus one summary per worker, independent of stream length.
-* Supervision: if a shard worker process dies mid-batch (the pool
-  surfaces ``BrokenProcessPool``), the pipeline rebuilds the pool
-  and retries that batch once -- with the same salt, so the retried
-  partials are bit-identical -- before surfacing the failure.  The
-  resident summary is untouched by the failed attempt (partials fold
-  only after the whole batch succeeds), so no batch is half-applied.
+  plus the summary, independent of stream length.
 """
 
 from __future__ import annotations
@@ -66,19 +39,14 @@ import copy
 import queue
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from ..db.backends import PROCESS_POOL, ShardJob, shard_edges
-from ..db.generators import as_rng
-from ..db.packed import resolve_workers
 from ..errors import StreamError
 from .base import StreamSummary
 from .count_min import CountMinSketch
-from .merge import merge_summaries
 from .misra_gries import MisraGries
 from .reservoir import ReservoirSample
 from .space_saving import SpaceSaving
@@ -101,7 +69,7 @@ DEFAULT_BATCH_ITEMS = 1 << 16
 DEFAULT_QUEUE_DEPTH = 8
 
 #: Summary kinds a pipeline can build.  All four merge (see
-#: :mod:`repro.streaming.merge`), so partials always fold.
+#: :mod:`repro.streaming.merge`), so sketches of separate streams fold.
 SUMMARY_KINDS = ("count-min", "misra-gries", "space-saving", "reservoir")
 
 _SENTINEL = object()
@@ -109,14 +77,12 @@ _SENTINEL = object()
 
 @dataclass(frozen=True)
 class SummarySpec:
-    """A picklable recipe for building one stream summary.
+    """A recipe for building one stream summary.
 
-    The pipeline ships this dict-of-scalars across the process boundary
-    so every shard worker constructs its partial from the same recipe:
-    Count-Min partials draw identical hash coefficients from ``seed``
-    (required by :func:`~repro.streaming.merge.merge_count_min`), while
-    sampling summaries derive per-(batch, shard) seeds so partials are
-    independent.
+    Every build of one spec is the same empty summary: Count-Min builds
+    draw identical hash coefficients from ``seed`` (required by
+    :func:`~repro.streaming.merge.merge_count_min`), and reservoirs
+    seed their sampling randomness with it.
 
     Parameters
     ----------
@@ -150,83 +116,15 @@ class SummarySpec:
         if self.universe < 1:
             raise StreamError(f"universe must be >= 1, got {self.universe}")
 
-    def to_params(self) -> dict:
-        """The spec as a plain dict of scalars (picklable kernel params)."""
-        return {
-            "kind": self.kind,
-            "universe": self.universe,
-            "k": self.k,
-            "width": self.width,
-            "depth": self.depth,
-            "size": self.size,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_params(params: dict) -> "SummarySpec":
-        """Rebuild a spec from :meth:`to_params` output."""
-        return SummarySpec(**params)
-
-    def build(self, shard_seed: int | None = None) -> StreamSummary:
-        """Construct an empty summary from the recipe.
-
-        ``shard_seed`` replaces ``seed`` for the *sampling* randomness of
-        a worker-side partial (reservoirs); hash-seeded summaries ignore
-        it so every partial shares the resident hash functions.
-        """
+    def build(self) -> StreamSummary:
+        """Construct an empty summary from the recipe."""
         if self.kind == "count-min":
             return CountMinSketch(self.universe, self.width, self.depth, rng=self.seed)
         if self.kind == "misra-gries":
             return MisraGries(self.universe, self.k)
         if self.kind == "space-saving":
             return SpaceSaving(self.universe, self.k)
-        seed = self.seed if shard_seed is None else shard_seed
-        return ReservoirSample(self.universe, self.size, rng=seed)
-
-
-def _shard_seed(seed: int, salt: int, shard: int) -> int:
-    """A stable per-(batch, shard) sampling seed, identical cross-process."""
-    state = np.random.SeedSequence(entropy=(seed, salt, shard)).generate_state(1)
-    return int(state[0])
-
-
-def _frame_capacity(spec: SummarySpec) -> int:
-    """Bytes reserved per partial frame in the shard output buffer.
-
-    Every pipeline summary kind has fill-independent payload accounting
-    (slot-capacity encoding: ``payload n_bits == size_in_bits()`` whether
-    empty or full), so an empty summary's frame bounds a full one's up to
-    header varint growth -- covered by the fixed slack.
-    """
-    from ..wire import payload_size_bits
-
-    return 512 + (payload_size_bits(spec.build()) + 7) // 8
-
-
-def _partial_sketch_kernel(arrays, outs, lo, hi, params) -> None:
-    """Shard kernel: build one summary partial and emit it as a wire frame.
-
-    Runs in a pool worker: ``arrays`` holds the published micro-batch,
-    ``outs`` one frame row + length slot per shard.  Module-level so the
-    pool ships it by qualified name; only the spec dict and shard edges
-    cross the boundary.
-    """
-    spec = SummarySpec.from_params(params["spec"])
-    edges = params["edges"]
-    shard = int(np.searchsorted(np.asarray(edges), lo))
-    summary = spec.build(shard_seed=_shard_seed(spec.seed, params["salt"], shard))
-    items = arrays["items"][lo:hi]
-    if items.size:
-        summary.update_many(items)
-    frame = summary.to_bytes()
-    frames, lens = outs["frames"], outs["lens"]
-    if len(frame) > frames.shape[1]:
-        raise StreamError(
-            f"partial frame of {len(frame)} bytes exceeds the reserved "
-            f"{frames.shape[1]}-byte slot"
-        )
-    frames[shard, : len(frame)] = np.frombuffer(frame, dtype=np.uint8)
-    lens[shard] = len(frame)
+        return ReservoirSample(self.universe, self.size, rng=self.seed)
 
 
 @dataclass
@@ -234,27 +132,23 @@ class PipelineStats:
     """Observability counters for one pipeline run.
 
     ``feed_wait_s`` is total producer time blocked on a full queue (the
-    backpressure signal); ``sketch_s`` is consumer time spent sketching
-    and folding; ``max_queue_depth`` the high-water mark of batches
-    resident in the queue; ``worker_restarts`` counts process-pool
-    rebuilds after a shard worker died mid-batch (each one is a batch
-    retried once, not lost).
+    backpressure signal); ``sketch_s`` is consumer time spent folding
+    batches; ``max_queue_depth`` the high-water mark of batches resident
+    in the queue.
     """
 
     items: int = 0
     batches: int = 0
-    folds: int = 0
     max_queue_depth: int = 0
     feed_wait_s: float = 0.0
     sketch_s: float = 0.0
-    worker_restarts: int = 0
 
     def snapshot(self) -> "PipelineStats":
         return replace(self)
 
 
 class StreamPipeline:
-    """Driver/executor micro-batch ingestion into one resident summary.
+    """Producer/sketcher micro-batch ingestion into one resident summary.
 
     Parameters
     ----------
@@ -266,16 +160,6 @@ class StreamPipeline:
     queue_depth:
         Bound on batches queued ahead of the sketching thread; a full
         queue blocks :meth:`feed` (backpressure).
-    workers:
-        Shard count per batch (default: the auto heuristic of
-        :func:`~repro.db.packed.resolve_workers`, clamped to the host's
-        cores).  One worker updates the resident summary inline; more
-        sketch one partial per worker process.  The workers are spawned,
-        so a script that runs a multi-worker pipeline must guard its
-        entry point with ``if __name__ == "__main__":``.
-    rng:
-        Randomness for sampling-based merge rules (reservoir folds);
-        defaults to the spec's seed.
 
     Usage::
 
@@ -293,8 +177,6 @@ class StreamPipeline:
         *,
         batch_items: int = DEFAULT_BATCH_ITEMS,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        workers: int | None = None,
-        rng: np.random.Generator | int | None = None,
     ) -> None:
         if batch_items < 1:
             raise StreamError(f"batch_items must be >= 1, got {batch_items}")
@@ -303,17 +185,10 @@ class StreamPipeline:
         self.spec = spec if isinstance(spec, SummarySpec) else SummarySpec(**spec)
         self.batch_items = batch_items
         self.queue_depth = queue_depth
-        # One worker sketches ~batch_items ids per shard dispatch; reuse
-        # the evaluators' resolution (explicit > auto, clamped to cores)
-        # with the batch volume as the heuristic input.
-        self.workers = resolve_workers(workers, batch_items)
-        self._rng = as_rng(self.spec.seed if rng is None else rng)
         self._resident = self.spec.build()
-        self._capacity = _frame_capacity(self.spec)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
         self._lock = threading.Lock()
         self._stats = PipelineStats()
-        self._salt = 0
         self._error: BaseException | None = None
         self._thread: threading.Thread | None = None
         self._finished = False
@@ -444,61 +319,8 @@ class StreamPipeline:
                 self._stats.sketch_s += time.perf_counter() - began
 
     def _absorb(self, batch: np.ndarray) -> None:
-        shards = min(self.workers, int(batch.size))
-        if shards <= 1:
-            # Single-worker path: the resident summary's own bulk update,
-            # bit-identical to one-shot update_many over the whole stream.
-            with self._lock:
-                self._resident.update_many(batch)
-            return
-        merged = self._sketch_partials(batch, shards)
         with self._lock:
-            self._resident = merged
-
-    def _sketch_partials(self, batch: np.ndarray, shards: int) -> StreamSummary:
-        """Partition one batch, sketch partials in the pool, fold them."""
-        from ..wire import load_as
-
-        edges = shard_edges(int(batch.size), shards)
-        frames = np.zeros((len(edges), self._capacity), dtype=np.uint8)
-        lens = np.zeros(len(edges), dtype=np.int64)
-        job = ShardJob(
-            kernel=_partial_sketch_kernel,
-            arrays={"items": batch},
-            outs={"frames": frames, "lens": lens},
-            total=int(batch.size),
-            params={
-                "spec": self.spec.to_params(),
-                "edges": [lo for lo, _ in edges],
-                "salt": self._salt,
-            },
-        )
-        self._salt += 1
-        try:
-            PROCESS_POOL.run(job, shards)
-        except BrokenProcessPool:
-            # A shard worker died (OOM kill, SIGKILL, hard crash) and
-            # poisoned the pool.  ProcessBackend already dropped the dead
-            # pool on this exception, so rerunning builds a fresh one;
-            # the job reuses the same salt, so the retried partials are
-            # bit-identical to what the dead worker would have produced.
-            # One retry only: a second death is a real failure, and it
-            # propagates to feed()/finish() like any other.
-            with self._lock:
-                self._stats.worker_restarts += 1
-            frames[:] = 0
-            lens[:] = 0
-            PROCESS_POOL.run(job, shards)
-        merged = self._resident
-        for i in range(len(edges)):
-            n = int(lens[i])
-            if n == 0:
-                raise StreamError(f"shard {i} returned no partial frame")
-            partial = load_as(StreamSummary, frames[i, :n].tobytes())
-            merged = merge_summaries(merged, partial, rng=self._rng)
-            with self._lock:
-                self._stats.folds += 1
-        return merged
+            self._resident.update_many(batch)
 
 
 # ----------------------------------------------------------------------

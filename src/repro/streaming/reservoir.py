@@ -69,6 +69,28 @@ class ReservoirSample(StreamSummary):
         if j < self.size:
             self._reservoir[j] = item
 
+    def _update_many(self, items: np.ndarray) -> None:
+        """Bulk path: Algorithm R with one draw call per batch.
+
+        The first items fill the free slots; the item at 1-based stream
+        position ``t`` after that draws ``j`` uniform in ``[0, t)`` and
+        replaces slot ``j`` when ``j < size``.  All of the batch's draws
+        come from one ``integers(0, positions)`` call and the hits apply
+        in stream order, so the sample has Algorithm R's distribution;
+        only the draw sequence differs from the itemwise loop.
+        """
+        fill = min(self.size - len(self._reservoir), int(items.size))
+        self._reservoir.extend(items[:fill].tolist())
+        start = self.stream_length + fill
+        self.stream_length += int(items.size)
+        rest = items[fill:]
+        if not rest.size:
+            return
+        slots = self._rng.integers(0, np.arange(start + 1, start + 1 + rest.size))
+        hits = np.flatnonzero(slots < self.size)
+        for slot, item in zip(slots[hits].tolist(), rest[hits].tolist()):
+            self._reservoir[slot] = item
+
     def estimate_count(self, item: int) -> float:
         """Scale the in-sample count back to the stream length."""
         if not self._reservoir:

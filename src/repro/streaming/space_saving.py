@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import StreamError
-from .base import COUNT_BITS, StreamSummary, drain_counter_batch, item_id_bits
+from .base import COUNT_BITS, StreamSummary, item_id_bits
 
 __all__ = ["SpaceSaving"]
 
@@ -51,9 +51,29 @@ class SpaceSaving(StreamSummary):
         self._errors[item] = floor
 
     def _update_many(self, items: np.ndarray) -> None:
-        """Bulk path: fold runs of tracked items, replay eviction events."""
-        self.stream_length += int(items.size)
-        drain_counter_batch(self, self._counts, self.k, items)
+        """Bulk path: summarize the batch exactly, then merge it in.
+
+        The batch's ``k`` largest exact counts (ties broken by item id,
+        errors 0) form a Space-Saving summary of the batch -- every
+        dropped item counts at most its smallest kept counter -- folded
+        in with :func:`~repro.streaming.merge.merge_space_saving`, so
+        estimates never undercount and the ``m / k`` overcount bound
+        holds over the whole stream.
+        """
+        from .merge import merge_space_saving
+
+        values, counts = np.unique(items, return_counts=True)
+        if values.size > self.k:
+            # np.unique sorts by id, so the stable sort breaks ties by id.
+            top = np.argsort(-counts, kind="stable")[: self.k]
+            values, counts = values[top], counts[top]
+        batch = SpaceSaving(self.universe, self.k)
+        batch.stream_length = int(items.size)
+        batch._counts = dict(zip(values.tolist(), counts.tolist()))
+        batch._errors = dict.fromkeys(batch._counts, 0)
+        merged = merge_space_saving(self, batch)
+        self._counts, self._errors = merged._counts, merged._errors
+        self.stream_length = merged.stream_length
 
     def estimate_count(self, item: int) -> float:
         """Stored count (never an undercount; overcounts <= m/k)."""

@@ -2,12 +2,12 @@
 
 Everything here is test infrastructure shipped as library code, because
 the failure modes it manufactures (torn writes, mid-frame disconnects,
-short reads, killed workers) are exactly the ones the durability and
-retry layers promise to survive -- downstream users hardening their own
-deployments can reuse the same harness.  Nothing in this package is
+short reads) are exactly the ones the durability and retry layers
+promise to survive -- downstream users hardening their own deployments
+can reuse the same harness.  Nothing in this package is
 imported by the serving path.
 """
 
-from .faults import FaultyFile, FaultyProxy, kill_once_partial_kernel
+from .faults import FaultyFile, FaultyProxy
 
-__all__ = ["FaultyFile", "FaultyProxy", "kill_once_partial_kernel"]
+__all__ = ["FaultyFile", "FaultyProxy"]

@@ -1,6 +1,6 @@
-"""Seeded, deterministic fault injection: sockets, files, workers.
+"""Seeded, deterministic fault injection: sockets and files.
 
-Three harnesses, one per failure domain the robustness layer covers:
+Two harnesses, one per failure domain the robustness layer covers:
 
 :class:`FaultyProxy`
     A TCP proxy that forwards bytes between a client and an upstream
@@ -18,14 +18,6 @@ Three harnesses, one per failure domain the robustness layer covers:
     injected :class:`OSError` stands in for the crash; everything before
     the budget is real, durable file I/O.
 
-:func:`kill_once_partial_kernel`
-    A pipeline shard kernel that SIGKILLs its own worker process the
-    first time it runs (guarded by an exclusively-created flag file
-    named in ``REPRO_FAULT_KILL_FLAG``), then behaves exactly like the
-    real :func:`~repro.streaming.pipeline._partial_sketch_kernel`.
-    Drives the pipeline's pool-rebuild-and-retry supervision path
-    deterministically.
-
 Determinism: every byte schedule derives from an explicit ``seed``; no
 harness consults wall-clock time or global randomness.
 """
@@ -34,18 +26,12 @@ from __future__ import annotations
 
 import os
 import random
-import signal
 import socket
 import threading
 import time
 from typing import IO
 
-from ..streaming.pipeline import _partial_sketch_kernel as _REAL_PARTIAL_KERNEL
-
-__all__ = ["FaultPlan", "FaultyFile", "FaultyProxy", "kill_once_partial_kernel"]
-
-#: Environment variable naming the flag file for kill_once_partial_kernel.
-KILL_FLAG_ENV = "REPRO_FAULT_KILL_FLAG"
+__all__ = ["FaultPlan", "FaultyFile", "FaultyProxy"]
 
 
 class FaultPlan:
@@ -330,29 +316,3 @@ class FaultyFile:
 
     def __getattr__(self, name: str):
         return getattr(self._file, name)
-
-
-def kill_once_partial_kernel(arrays, outs, lo, hi, params) -> None:
-    """Shard kernel that SIGKILLs its worker once, then works normally.
-
-    Requires ``REPRO_FAULT_KILL_FLAG`` in the environment to name a flag
-    file; the first worker to create it (exclusively, so exactly one
-    kill happens no matter how many workers race) kills its own process
-    with ``SIGKILL`` -- no cleanup, no exception, the genuine article.
-    Every later invocation, including the supervised retry of the same
-    batch, delegates to the real partial kernel.  Module-level so the
-    process pool can pickle it by qualified name.
-    """
-    flag = os.environ.get(KILL_FLAG_ENV)
-    if flag:
-        try:
-            fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass  # the kill already happened; behave normally
-        else:
-            os.close(fd)
-            os.kill(os.getpid(), signal.SIGKILL)
-    # The binding captured at import time, NOT a late lookup on the
-    # pipeline module: wherever the pipeline module is patched with this
-    # kernel, a late lookup would call this kernel again.
-    _REAL_PARTIAL_KERNEL(arrays, outs, lo, hi, params)

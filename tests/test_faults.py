@@ -1,6 +1,6 @@
 """Client retry/backoff and the fault-injection harness itself.
 
-Four contracts pinned here:
+Three contracts pinned here:
 
 * :class:`~repro.testing.FaultyProxy` is deterministic -- the same seed
   and traffic reproduce the same relayed bytes and the same cut point --
@@ -13,15 +13,7 @@ Four contracts pinned here:
 * :class:`~repro.server.client.RetryPolicy` retries exactly what it
   may: idempotent verbs and refused connects always, mutating verbs
   only on explicit opt-in, definitive server errors never, all under a
-  decorrelated-jitter backoff bounded by ``deadline``;
-* a killed pipeline shard worker process costs one pool rebuild and
-  one batch retry (same salt, bit-identical partials), never a
-  half-applied batch.
-
-NOTE: ``repro.testing.faults`` must be imported before any test
-monkeypatches the pipeline kernel -- the kill kernel captures the real
-kernel at import time, so it never calls itself through the patched
-module attribute.
+  decorrelated-jitter backoff bounded by ``deadline``.
 """
 
 from __future__ import annotations
@@ -38,9 +30,8 @@ from repro import wire
 from repro.errors import ProtocolError, ServerBusyError, ServerError
 from repro.server import Client, protocol, serve_in_thread
 from repro.server.client import RetryPolicy
-from repro.streaming import MisraGries, StreamPipeline, SummarySpec
-from repro.streaming import pipeline as pipeline_module
-from repro.testing import FaultyProxy, kill_once_partial_kernel
+from repro.streaming import MisraGries
+from repro.testing import FaultyProxy
 from repro.testing.faults import FaultPlan
 
 from repro.db import Itemset
@@ -346,51 +337,3 @@ class TestBusyRetry:
                         shed.ping()
                     finally:
                         shed.close()
-
-
-# ----------------------------------------------------------------------
-# Pipeline supervision: a killed shard worker costs one retry.
-# ----------------------------------------------------------------------
-class TestPipelineSupervision:
-    def test_killed_worker_rebuilds_and_matches_clean_run(
-        self, many_cores, monkeypatch, tmp_path
-    ):
-        spec = SummarySpec(
-            "count-min", universe=64, k=5, width=32, depth=3, size=16, seed=11
-        )
-        rng = np.random.default_rng(9)
-        stream = rng.integers(0, 64, size=20000)
-        batches = [stream[i : i + 4096] for i in range(0, stream.size, 4096)]
-
-        clean = StreamPipeline(spec, workers=2).run(batches)
-
-        flag = tmp_path / "kill-once.flag"
-        monkeypatch.setenv("REPRO_FAULT_KILL_FLAG", str(flag))
-        monkeypatch.setattr(
-            pipeline_module, "_partial_sketch_kernel", kill_once_partial_kernel
-        )
-        # The shared process pool is reused across runs; recycle it so
-        # the workers start *after* the flag env is set (and again
-        # afterwards, so no armed worker leaks into later tests).
-        from repro.db.backends import PROCESS_POOL
-
-        PROCESS_POOL.shutdown()
-        try:
-            pipe = StreamPipeline(spec, workers=2)
-            survived = pipe.run(batches)
-        finally:
-            PROCESS_POOL.shutdown()
-
-        assert flag.exists()  # exactly one worker pulled the trigger
-        assert pipe.stats.worker_restarts == 1
-        assert pipe.stats.items == stream.size
-        # Same salt on the retried batch -> bit-identical final state.
-        assert survived.to_bytes() == clean.to_bytes()
-
-    def test_clean_run_reports_zero_restarts(self, many_cores):
-        spec = SummarySpec(
-            "count-min", universe=64, k=5, width=32, depth=3, size=16, seed=11
-        )
-        pipe = StreamPipeline(spec, workers=2)
-        pipe.run([np.arange(4096, dtype=np.int64) % 64])
-        assert pipe.stats.worker_restarts == 0

@@ -617,6 +617,44 @@ class TestPreloadIdempotence:
 
 
 # ----------------------------------------------------------------------
+# The write-ahead log never changes what INGEST computes.
+# ----------------------------------------------------------------------
+class TestDurableIngestParity:
+    @pytest.mark.parametrize("kind", ["count-min", "misra-gries"])
+    def test_wal_on_and_off_end_in_identical_frames(self, tmp_path, kind):
+        """The same INGEST batches over a socket, with the WAL off and on,
+        leave byte-identical resident frames -- and so does a restart that
+        replays the journaled batches."""
+        from repro.server import Client, serve_in_thread
+        from repro.streaming import SummarySpec, zipf_traffic
+
+        spec = SummarySpec(kind, universe=5000, k=16, width=256, depth=4, seed=7)
+        batches = list(
+            zipf_traffic(5000, batch_items=4096, total_items=40_000, rng=3)
+        )
+
+        def ingest_all(data_dir) -> bytes:
+            with serve_in_thread(data_dir=data_dir) as handle:
+                with Client(handle.host, handle.port) as client:
+                    client.load("s", wire.dump(spec.build()))
+                    for batch in batches:
+                        client.ingest("s", batch)
+                [(_, summary)], _ = handle.registry.dump_for_snapshot()
+                return wire.dump(summary)
+
+        data_dir = str(tmp_path / "data")
+        wal_off, wal_on = ingest_all(None), ingest_all(data_dir)
+        assert wal_off == wal_on
+
+        fresh = SketchRegistry()
+        store = PersistentStore(data_dir)
+        store.recover(fresh)
+        store.close()
+        [(_, recovered)], _ = fresh.dump_for_snapshot()
+        assert wire.dump(recovered) == wal_off
+
+
+# ----------------------------------------------------------------------
 # Kill-restart prefix property, via injected torn writes.
 # ----------------------------------------------------------------------
 class TestKillRestartPrefix:

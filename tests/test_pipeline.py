@@ -2,25 +2,27 @@
 
 Three layers of guarantees, each pinned here:
 
-1. **Single-worker bit-identity** -- a pipeline with one worker must leave
-   *exactly* the state one-shot ``update_many`` leaves, for every summary
-   kind and any batch partitioning (hypothesis-driven).
-2. **Multi-worker merge certificates** -- partial folds may differ
-   bit-for-bit from serial ingestion for counter summaries, but must obey
-   each summary's merge error bounds: Misra-Gries never overestimates and
-   undercounts by at most ``max_undercount()``; SpaceSaving never
-   underestimates and overcounts by at most ``max_overcount()``;
-   Count-Min (non-conservative) is *exactly* the one-shot table, so
-   multi-worker CMS is bit-identical at every worker count.
+1. **Micro-batch bit-identity** -- a pipeline leaves *exactly* the state
+   ``update_many`` leaves over the same micro-batches, for every summary
+   kind and any batch partitioning (hypothesis-driven); Count-Min, whose
+   bulk path adds exact counts, also equals one-shot ingestion.
+2. **Fold certificates** -- Misra-Gries and Space-Saving fold each batch
+   through their merge rules, so their state depends on the batching but
+   obeys each summary's error bounds: Misra-Gries never overestimates
+   and undercounts by at most ``max_undercount()``; SpaceSaving never
+   underestimates and overcounts by at most ``max_overcount()``.
 3. **Operational behavior** -- bounded queue with backpressure, consistent
    snapshots, error propagation out of the sketching thread, bounded
-   sources, traffic generator contracts.
+   sources, traffic generator contracts, and a start-up import path that
+   loads no scipy.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -29,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import backends
 from repro.errors import StreamError
 from repro.streaming import (
     SUMMARY_KINDS,
@@ -41,24 +42,10 @@ from repro.streaming import (
     bursty_traffic,
     zipf_traffic,
 )
-from repro.streaming import pipeline as pipeline_module
-from repro.streaming.pipeline import _frame_capacity
 
 UNIVERSE = 64
 
-#: Environment variable naming the directory where
-#: :func:`_pid_recording_partial_kernel` leaves one file per process id;
-#: set before the pool starts, so its workers inherit it.
-_PID_DIR_ENV = "REPRO_TEST_PID_DIR"
-
-#: Bound at import, before any test patches the pipeline module.
-_REAL_PARTIAL_KERNEL = pipeline_module._partial_sketch_kernel
-
-
-def _pid_recording_partial_kernel(arrays, outs, lo, hi, params) -> None:
-    """The real partial kernel, leaving a file named by its process id."""
-    Path(os.environ[_PID_DIR_ENV], str(os.getpid())).touch()
-    _REAL_PARTIAL_KERNEL(arrays, outs, lo, hi, params)
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _spec(kind: str, **overrides) -> SummarySpec:
@@ -87,12 +74,15 @@ def _state(summary):
     raise AssertionError(type(summary))
 
 
-class TestSummarySpec:
-    def test_round_trips_through_params(self):
-        for kind in SUMMARY_KINDS:
-            spec = _spec(kind)
-            assert SummarySpec.from_params(spec.to_params()) == spec
+def _batched(spec: SummarySpec, stream: np.ndarray, batch_items: int):
+    """The reference: ``update_many`` over the pipeline's micro-batches."""
+    summary = spec.build()
+    for lo in range(0, stream.size, batch_items):
+        summary.update_many(stream[lo : lo + batch_items])
+    return summary
 
+
+class TestSummarySpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(StreamError):
             SummarySpec("bloom", universe=8)
@@ -107,31 +97,21 @@ class TestSummarySpec:
         a, b = spec.build(), spec.build()
         assert np.array_equal(a._a, b._a) and np.array_equal(a._b, b._b)
 
-    def test_frame_capacity_bounds_full_summary(self):
-        """Payloads are fill-independent, so one capacity fits any fill."""
-        rng = np.random.default_rng(0)
-        stream = rng.integers(0, UNIVERSE, size=5000)
-        for kind in SUMMARY_KINDS:
-            spec = _spec(kind)
-            cap = _frame_capacity(spec)
-            full = spec.build()
-            full.update_many(stream)
-            assert len(full.to_bytes()) <= cap
-
 
 class TestSingleWorkerBitIdentity:
-    """workers=1 pipelines take the resident update_many path verbatim."""
+    """A pipeline is ``update_many`` over its micro-batches, verbatim."""
 
     @pytest.mark.parametrize("kind", sorted(SUMMARY_KINDS))
     def test_matches_one_shot(self, kind):
         rng = np.random.default_rng(3)
         stream = rng.integers(0, UNIVERSE, size=7000)
         spec = _spec(kind)
-        pipe = StreamPipeline(spec, batch_items=512, workers=1)
-        piped = pipe.run([stream])
-        oneshot = spec.build()
-        oneshot.update_many(stream)
-        assert _state(piped) == _state(oneshot)
+        piped = StreamPipeline(spec, batch_items=512).run([stream])
+        assert _state(piped) == _state(_batched(spec, stream, 512))
+        if kind == "count-min":
+            oneshot = spec.build()
+            oneshot.update_many(stream)
+            assert _state(piped) == _state(oneshot)
 
     @given(
         items=st.lists(st.integers(0, UNIVERSE - 1), min_size=0, max_size=500),
@@ -142,44 +122,20 @@ class TestSingleWorkerBitIdentity:
         stream = np.array(items, dtype=np.int64)
         for kind in sorted(SUMMARY_KINDS):
             spec = _spec(kind)
-            pipe = StreamPipeline(
-                spec, batch_items=batch_items, workers=1
-            )
-            piped = pipe.run([stream])
-            oneshot = spec.build()
-            oneshot.update_many(stream)
-            assert _state(piped) == _state(oneshot), kind
+            piped = StreamPipeline(spec, batch_items=batch_items).run([stream])
+            assert _state(piped) == _state(
+                _batched(spec, stream, batch_items)
+            ), kind
 
 
-@pytest.mark.usefixtures("many_cores")
 class TestMultiWorkerCertificates:
-    """Partition folds obey each summary's merge error certificates.
-
-    With more than one worker every partial is sketched in a process of
-    the shared pool, so these folds cross real process boundaries.
-    """
-
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_count_min_bit_identical(self, workers):
-        """Non-conservative CMS partial tables sum exactly: bit-identical."""
-        rng = np.random.default_rng(5)
-        stream = rng.integers(0, UNIVERSE, size=20000)
-        spec = _spec("count-min")
-        pipe = StreamPipeline(
-            spec, batch_items=1024, workers=workers
-        )
-        piped = pipe.run([stream])
-        oneshot = spec.build()
-        oneshot.update_many(stream)
-        assert np.array_equal(piped._table, oneshot._table)
-        assert piped.stream_length == oneshot.stream_length
+    """Micro-batch folds obey each summary's error certificates."""
 
     def test_misra_gries_undercount_bound(self):
         rng = np.random.default_rng(6)
         stream = (rng.zipf(1.4, 30000) % UNIVERSE).astype(np.int64)
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=2048, workers=4)
-        summary = pipe.run([stream])
+        summary = StreamPipeline(spec, batch_items=2048).run([stream])
         true = np.bincount(stream, minlength=UNIVERSE)
         assert summary.stream_length == stream.size
         slack = summary.max_undercount()
@@ -192,8 +148,7 @@ class TestMultiWorkerCertificates:
         rng = np.random.default_rng(7)
         stream = (rng.zipf(1.4, 30000) % UNIVERSE).astype(np.int64)
         spec = _spec("space-saving")
-        pipe = StreamPipeline(spec, batch_items=2048, workers=4)
-        summary = pipe.run([stream])
+        summary = StreamPipeline(spec, batch_items=2048).run([stream])
         true = np.bincount(stream, minlength=UNIVERSE)
         assert summary.stream_length == stream.size
         slack = summary.max_overcount()
@@ -206,48 +161,48 @@ class TestMultiWorkerCertificates:
         spec = _spec("reservoir")
         rng = np.random.default_rng(8)
         stream = rng.integers(0, UNIVERSE, size=9000)
-        pipe = StreamPipeline(spec, batch_items=1000, workers=3)
-        summary = pipe.run([stream])
+        summary = StreamPipeline(spec, batch_items=1000).run([stream])
         assert summary.stream_length == stream.size
         assert len(summary.sample) == spec.size
         assert all(0 <= item < UNIVERSE for item in summary.sample)
-
-    def test_partials_are_sketched_in_worker_processes(self, monkeypatch, tmp_path):
-        """``workers=2`` sketches each partial in a pool process, not here."""
-        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(
-            pipeline_module, "_partial_sketch_kernel", _pid_recording_partial_kernel
-        )
-        # Start the pool after setting the variable, and stop it again
-        # afterwards, so no recording worker outlives this test.
-        backends.PROCESS_POOL.shutdown()
-        try:
-            stream = np.random.default_rng(9).integers(0, UNIVERSE, size=12000)
-            spec = _spec("count-min")
-            piped = StreamPipeline(spec, batch_items=4000, workers=2).run([stream])
-        finally:
-            backends.PROCESS_POOL.shutdown()
-        oneshot = spec.build()
-        oneshot.update_many(stream)
-        assert piped.to_bytes() == oneshot.to_bytes()
-        pids = {int(path.name) for path in tmp_path.iterdir()}
-        assert pids and os.getpid() not in pids
 
     @given(items=st.lists(st.integers(0, UNIVERSE - 1), min_size=50, max_size=400))
     @settings(max_examples=15, deadline=None)
     def test_property_cms_any_stream(self, items):
         stream = np.array(items, dtype=np.int64)
         spec = _spec("count-min")
-        piped = StreamPipeline(spec, batch_items=64, workers=3).run([stream])
+        piped = StreamPipeline(spec, batch_items=64).run([stream])
         oneshot = spec.build()
         oneshot.update_many(stream)
         assert np.array_equal(piped._table, oneshot._table)
 
 
+class TestImports:
+    def test_pipeline_and_server_import_no_scipy(self):
+        """``repro stream`` and ``repro serve`` start through these
+        imports; scipy must stay off that path, where it would add about
+        1.1 s to every start."""
+        script = (
+            "import sys, repro.streaming.pipeline, repro.server; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestPipelineBehavior:
     def test_feed_rechunks_large_arrays(self):
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=100, workers=1)
+        pipe = StreamPipeline(spec, batch_items=100)
         pipe.start()
         pipe.feed(np.arange(1000) % UNIVERSE)
         pipe.finish()
@@ -258,16 +213,14 @@ class TestPipelineBehavior:
     def test_queue_depth_bounds_buffering(self):
         """max_queue_depth never exceeds the configured bound."""
         spec = _spec("count-min")
-        pipe = StreamPipeline(
-            spec, batch_items=100, queue_depth=2, workers=1
-        )
+        pipe = StreamPipeline(spec, batch_items=100, queue_depth=2)
         rng = np.random.default_rng(1)
         pipe.run(rng.integers(0, UNIVERSE, size=(40, 100)))
         assert pipe.stats.max_queue_depth <= 2
 
     def test_snapshot_is_complete_and_isolated(self):
         spec = _spec("count-min")
-        pipe = StreamPipeline(spec, batch_items=50, workers=1)
+        pipe = StreamPipeline(spec, batch_items=50)
         pipe.start()
         pipe.feed(np.arange(500) % UNIVERSE)
         snap = pipe.snapshot()
@@ -280,7 +233,7 @@ class TestPipelineBehavior:
 
     def test_error_in_sketching_thread_propagates(self):
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=64, workers=1)
+        pipe = StreamPipeline(spec, batch_items=64)
         pipe.start()
         with pytest.raises(StreamError, match="outside universe"):
             # The bad id is detected on the sketching thread; feed/finish
@@ -293,7 +246,7 @@ class TestPipelineBehavior:
 
     def test_finish_is_idempotent_and_terminal(self):
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(spec, batch_items=64, workers=1)
+        pipe = StreamPipeline(spec, batch_items=64)
         pipe.start()
         pipe.feed(np.array([1, 2, 3]))
         first = pipe.finish()
@@ -302,14 +255,12 @@ class TestPipelineBehavior:
             pipe.feed(np.array([1]))
 
     def test_feed_before_start_raises(self):
-        pipe = StreamPipeline(_spec("misra-gries"), workers=1)
+        pipe = StreamPipeline(_spec("misra-gries"))
         with pytest.raises(StreamError, match="not started"):
             pipe.feed(np.array([1]))
 
     def test_context_manager(self):
-        with StreamPipeline(
-            _spec("count-min"), batch_items=32, workers=1
-        ) as pipe:
+        with StreamPipeline(_spec("count-min"), batch_items=32) as pipe:
             pipe.feed(np.arange(100) % UNIVERSE)
         assert pipe.stats.items == 100
 
@@ -320,7 +271,7 @@ class TestPipelineBehavior:
             StreamPipeline(_spec("count-min"), queue_depth=0)
 
     def test_rejects_bad_batches(self):
-        pipe = StreamPipeline(_spec("count-min"), workers=1)
+        pipe = StreamPipeline(_spec("count-min"))
         pipe.start()
         with pytest.raises(StreamError, match="1-D"):
             pipe.feed(np.zeros((2, 2), dtype=np.int64))
@@ -331,9 +282,7 @@ class TestPipelineBehavior:
     def test_backpressure_blocks_producer(self):
         """A full queue stalls feed() until the consumer drains."""
         spec = _spec("misra-gries")
-        pipe = StreamPipeline(
-            spec, batch_items=10, queue_depth=1, workers=1
-        )
+        pipe = StreamPipeline(spec, batch_items=10, queue_depth=1)
         gate = threading.Event()
         original = pipe._absorb
 
@@ -472,7 +421,7 @@ class TestTraffic:
 
     def test_pipeline_consumes_traffic(self):
         spec = _spec("space-saving")
-        pipe = StreamPipeline(spec, batch_items=512, workers=1)
+        pipe = StreamPipeline(spec, batch_items=512)
         summary = pipe.run(
             bursty_traffic(UNIVERSE, total_items=10000, batch_items=512, rng=5)
         )

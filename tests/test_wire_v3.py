@@ -239,10 +239,12 @@ class TestLazyLoad:
 
     def test_max_bytes_budget_caps_record_reads(self):
         """The budget lets small shards through and rejects the big one."""
-        items = [
-            ("big", _misra_gries(1, universe=4096, k=64)),
-            ("small", _misra_gries(2)),
-        ]
+        # Itemwise updates keep all 64 counters live over 300 spread-out
+        # items (one batch fold would cut most of them to zero).
+        big = MisraGries(4096, 64)
+        for item in np.random.default_rng(1).integers(0, 4096, 300).tolist():
+            big.update(item)
+        items = [("big", big), ("small", _misra_gries(2))]
         data = _container(items)
         reader = wire.ContainerReader.open(io.BytesIO(data), max_bytes=300)
         assert wire.dump(reader.load("small")) == wire.dump(items[1][1])
