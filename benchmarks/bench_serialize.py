@@ -2,8 +2,8 @@
 
 Measures the PR-3 serialization tentpole: the seed ``BitWriter`` kept a
 per-bit Python list (``extend(bool(b) for b in array)`` per write, one
-``bool`` object per payload bit), while the vectorized writer appends
-whole numpy chunks and packs once.  Cases:
+``bool`` object per payload bit), while today's writer packs each
+field's bits straight into one ``bytearray``.  Cases:
 
 * ``bitwriter_payload`` -- build a ~10^6-bit RELEASE-DB-shaped payload
   (packed boolean matrix plus a fixed-width uint section) with the legacy
@@ -17,12 +17,21 @@ whole numpy chunks and packs once.  Cases:
   framed sketch files (SUBSAMPLE, RELEASE-DB, Count-Min): the cost of
   actually crossing the (S, Q) process boundary.
 * ``file_stream`` -- the file leg: a RELEASE-DB-sized frame
-  written through a file object (``dump_to``) and decoded from it in
-  bounded windows (``load_from``), with and without zlib.  Records
-  throughput, the maximum single read (the decode-side memory-bound
-  evidence), and the compression ratio; asserts the payload spans more
-  than one window, no read exceeds ``DEFAULT_CHUNK_BYTES``, and the
-  round trip stays bit-identical.
+  written through a file object (``dump_to``) and decoded from it
+  (``load_from``), with and without zlib.  The decoder reads the stream
+  in windows and assembles the uncompressed payload once (its declared
+  ``n_bits``; a caller's ``max_bytes`` caps the stored bytes read).
+  Records throughput, the maximum single
+  read, and the compression ratio; asserts the payload spans more than
+  one window, no read exceeds ``DEFAULT_CHUNK_BYTES``, and the round
+  trip stays bit-identical.
+* ``count_min_frame`` -- the packed bit layer on the frame perfbench's
+  colliding LOADs carry: a 4096x4 Count-Min over universe 2^20 fed
+  200,000 Zipf(1.2) items over 50,000 ids.  Records the time and the
+  tracemalloc peak of ``load_from``, ``dump`` and
+  ``payload_size_bits``; asserts the decoded table equals the source,
+  ``dump(load(frame)) == frame``, and the decode and encode peaks are
+  each at most :data:`MAX_PEAK_OVER_FRAME` times the frame's bytes.
 * ``sparse_delta`` -- the wire-v3 codec leg: sparse counter summaries
   dumped as v2 frames vs one-entry v3 containers (whose records pick the
   cheapest of raw / varint-delta / zlib per payload).  The gate is
@@ -68,6 +77,11 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_serialize.json"
 #: Acceptance floor: vectorized writer vs the seed list-based path on a
 #: ~10^6-bit payload.
 MIN_SPEEDUP = 5.0
+
+#: Ceiling on the Count-Min frame's decode and encode traced peaks, in
+#: multiples of the frame's bytes.  A bool-per-bit layer needs 64x or
+#: more for the payload alone; the packed layer holds a few copies.
+MAX_PEAK_OVER_FRAME = 8.0
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +240,9 @@ def bench_file_stream(n: int, d: int, repeats: int) -> dict:
         decode_time, (reader, clone) = _time(decode, repeats)
         assert clone.size_in_bits() == payload_bits
         np.testing.assert_array_equal(clone.database.rows, sketch.database.rows)
-        # The memory-bound evidence: no single read touches more than one
-        # window, so the decoder never materializes the stored payload.
-        assert reader.max_read <= window, "decode materialized beyond one window"
+        # No single stream read asks for more than one window, whatever
+        # the payload's size; the payload itself is assembled once.
+        assert reader.max_read <= window, "decode read beyond one window"
         cases[label] = {
             "frame_bytes": len(frame),
             "stored_over_payload": len(frame) / max(1, (payload_bits + 7) // 8),
@@ -245,6 +259,64 @@ def bench_file_stream(n: int, d: int, repeats: int) -> dict:
             "payload_bits": payload_bits,
             "read_window_bytes": window,
         },
+        "cases": cases,
+    }
+
+
+def bench_count_min_frame(repeats: int, calls: int = 20) -> dict:
+    """Decode, encode and size accounting of perfbench's LOAD frame."""
+    import io
+    import tracemalloc
+
+    from repro.db.generators import zipf_weights
+
+    universe, width, depth, ids, n_items = 1 << 20, 4096, 4, 50_000, 200_000
+    gen = np.random.default_rng(8)
+    cms = CountMinSketch(universe, width, depth, rng=0)
+    cms.update_many(
+        gen.choice(ids, size=n_items, p=zipf_weights(ids, 1.2)).astype(np.int64)
+    )
+    frame = wire.dump(cms)
+    ops = {
+        "load_from": lambda: wire.load_from(io.BytesIO(frame)),
+        "dump": lambda: wire.dump(cms),
+        "payload_size_bits": lambda: wire.payload_size_bits(cms),
+    }
+    clone = ops["load_from"]()
+    np.testing.assert_array_equal(clone._table, cms._table)
+    assert wire.dump(clone) == frame, "dump(load(frame)) != frame"
+    assert ops["payload_size_bits"]() == cms.size_in_bits()
+
+    cases = {}
+    for name, fn in ops.items():
+        seconds, _ = _time(lambda f=fn: [f() for _ in range(calls)], repeats)
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cases[name] = {
+            "seconds": seconds / calls,
+            "traced_peak_bytes": peak,
+            "peak_over_frame": peak / len(frame),
+        }
+    for name in ("load_from", "dump"):
+        assert cases[name]["peak_over_frame"] <= MAX_PEAK_OVER_FRAME, (
+            f"{name} peaked at {cases[name]['traced_peak_bytes']} B, over "
+            f"{MAX_PEAK_OVER_FRAME}x the {len(frame)}-byte frame"
+        )
+    return {
+        "config": {
+            "universe": universe,
+            "width": width,
+            "depth": depth,
+            "zipf_ids": ids,
+            "zipf_exponent": 1.2,
+            "items": n_items,
+        },
+        "frame_bytes": len(frame),
+        "payload_bits": cms.size_in_bits(),
         "cases": cases,
     }
 
@@ -368,7 +440,7 @@ def bench_container_ops(n_shards: int, universe: int, k: int, repeats: int) -> d
 
 def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
     """Run the full suite and write the JSON trajectory record."""
-    repeats = 1 if quick else 3
+    repeats = 3
     if quick:
         results = {
             # The payload config is pinned at ~10^6 bits even in quick
@@ -377,6 +449,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "quantized_answers": bench_quantized_answers(20_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(1024, 16, repeats),
             "file_stream": bench_file_stream(24_576, 24, repeats),
+            "count_min_frame": bench_count_min_frame(repeats),
             "sparse_delta": bench_sparse_delta(1 << 16, 16, 20_000, repeats),
             "container_ops": bench_container_ops(64, 4096, 64, repeats),
         }
@@ -386,6 +459,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "quantized_answers": bench_quantized_answers(100_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(4096, 24, repeats),
             "file_stream": bench_file_stream(32_768, 32, repeats),
+            "count_min_frame": bench_count_min_frame(repeats),
             "sparse_delta": bench_sparse_delta(1 << 20, 32, 200_000, repeats),
             "container_ops": bench_container_ops(64, 65_536, 256, repeats),
         }
@@ -403,6 +477,16 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
     }
     out_path.write_text(json.dumps(record, indent=2) + "\n")
     return record
+
+
+def _print_count_min_frame(record: dict) -> None:
+    cmf = record["results"]["count_min_frame"]
+    for name, case in cmf["cases"].items():
+        print(
+            f"count_min_frame {name}: {case['seconds'] * 1e3:.3f} ms, traced peak "
+            f"{case['traced_peak_bytes'] / 1e6:.2f} MB "
+            f"({case['peak_over_frame']:.1f}x the {cmf['frame_bytes']}-byte frame)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +509,7 @@ def test_serializer_speedup_quick(tmp_path):
             f"{case['decode_mbits_per_sec']:.0f} Mbit/s enc/dec, "
             f"max read {case['max_single_read']} B"
         )
+    _print_count_min_frame(record)
     for name, case in record["results"]["sparse_delta"]["cases"].items():
         print(
             f"sparse_delta {name}: v2 {case['v2_stored_bytes']} B -> "
@@ -460,6 +545,7 @@ def main(argv: list[str] | None = None) -> int:
             f"round_trip {name}: {case['frame_bytes']} bytes, "
             f"{case['round_trips_per_sec']:.0f} round-trips/sec"
         )
+    _print_count_min_frame(record)
     for name, case in record["results"]["sparse_delta"]["cases"].items():
         print(
             f"sparse_delta {name}: stored ratio "

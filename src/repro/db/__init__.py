@@ -77,9 +77,11 @@ Wire format
 -----------
 Sketch payloads are real bit strings.  :class:`~repro.db.serialize.BitWriter`
 and :class:`~repro.db.serialize.BitReader` are the payload primitives --
-vectorized (whole-chunk numpy appends, one :func:`numpy.packbits` pass,
-batched fixed-width integer fields) and strict on read (byte length must
-match the declared bit count exactly; trailing padding must be zero).
+packed (a ``bytearray`` plus a bit count on write, the payload bytes plus
+a bit position on read; byte-aligned fields whose width is a multiple of
+8 move as big-endian bytes in one step, any other field packs or unpacks
+only the bytes it spans) and strict on read (byte length must match the
+declared bit count exactly; trailing padding must be zero).
 :mod:`repro.wire` frames payloads for transport.  Single frames are
 written as v2 and multi-frame containers as v3; v1 frames and chunked
 v2 frames are decode-only::
@@ -88,9 +90,9 @@ v2 frames are decode-only::
     v2: magic "IFSK" | 2 | codec id | flags | varint params | varint fields
         | n_bits | payload (varint length, or u32 chunks) | crc32
 
-Wire v2 adds zlib payload compression; ``load_from`` decodes a file
-object windowed, backed by
-:meth:`~repro.db.serialize.BitReader.windowed`.  The *charged* size is
+Wire v2 adds zlib payload compression; ``load_from`` reads a file
+object in bounded windows, assembles the payload once and checks its
+byte total and CRC before any field is decoded.  The *charged* size is
 invariant -- ``n_bits`` is always the uncompressed payload length.
 
 * **Payload vs header** -- the payload carries exactly the bits the

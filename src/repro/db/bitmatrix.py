@@ -25,6 +25,7 @@ __all__ = [
     "unpack_matrix",
     "bits_to_bytes",
     "bytes_to_bits",
+    "check_uint",
     "int_to_bits",
     "bits_to_int",
     "popcount_rows",
@@ -87,6 +88,14 @@ def bytes_to_bits(n_bytes: int) -> int:
     return 8 * n_bytes
 
 
+def check_uint(value: int, width: int) -> None:
+    """Raise :class:`SketchSizeError` unless ``0 <= value < 2**width``."""
+    if value < 0:
+        raise SketchSizeError(f"int_to_bits requires value >= 0, got {value}")
+    if width < 0 or value >> width:
+        raise SketchSizeError(f"value {value} does not fit in {width} bits")
+
+
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Encode a non-negative integer as ``width`` bits, most significant first.
 
@@ -100,10 +109,7 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     SketchSizeError
         If ``value`` does not fit in ``width`` bits or is negative.
     """
-    if value < 0:
-        raise SketchSizeError(f"int_to_bits requires value >= 0, got {value}")
-    if width < 0 or value >> width:
-        raise SketchSizeError(f"value {value} does not fit in {width} bits")
+    check_uint(value, width)
     if width == 0:
         return np.zeros(0, dtype=bool)
     pad = -width % 8

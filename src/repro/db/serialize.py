@@ -11,20 +11,22 @@ dependency-free bit stream with the primitives the sketches need:
   ``log(1/epsilon)`` bits per stored frequency (Definition 7's accounting),
   which is exactly what :meth:`BitWriter.write_quantized` uses.
 
-Both ends are vectorized: the writer accumulates whole boolean chunks and
-packs them with one :func:`numpy.packbits` pass at :meth:`BitWriter.getvalue`
-time (no per-bit Python list), and batched integer fields go through a
-single shift-and-mask broadcast per call (:meth:`BitWriter.write_uints` /
-:meth:`BitReader.read_uints`).  The reader is *strict*: the payload's byte
-length must match the declared bit count exactly and the zero padding in the
-final byte must actually be zero, so a frame whose accounting lies about its
-payload is rejected instead of silently accepted.
-
-Decoding is also *stream-first* (the wire-format transport):
-:meth:`BitReader.windowed` reads sequentially from an iterator of byte
-chunks holding only one window of unpacked bits at a time, so a giant
-payload read from a file is never materialized as one byte string.  The
-writer packs once, in :meth:`BitWriter.getvalue`.
+Both ends keep the payload *packed*: the writer appends to a
+``bytearray`` and the reader walks the payload bytes with a bit position,
+so no field is ever held as one bool per bit.  A field that starts on a
+byte boundary and whose width is a multiple of 8 (Count-Min's table and
+hash coefficients, counter columns, 64-bit stream lengths) moves in one
+step -- ``astype(">u8")`` plus ``tobytes`` on write, one
+:func:`numpy.frombuffer` view on read.  Any other field (item ids of
+``item_id_bits(universe)`` bits, quantized answers, database rows,
+single bits) packs or unpacks only the bytes it spans, merging into the
+partial last byte; batched ones go through a single shift-and-mask
+broadcast per call (:meth:`BitWriter.write_uints` /
+:meth:`BitReader.read_uints`).  The reader is *strict*: the payload's
+byte length must match the declared bit count exactly and the zero
+padding in the final byte must actually be zero, so a frame whose
+accounting lies about its payload is rejected instead of silently
+accepted.
 
 The module additionally provides the byte-level varint primitives the v2
 frame header is built from: unsigned LEB128 (:func:`encode_uvarint` /
@@ -37,13 +39,13 @@ oversized inputs.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import IO, Iterable, Iterator, Sequence
+import operator
+from typing import IO, Sequence
 
 import numpy as np
 
 from ..errors import SketchSizeError
-from .bitmatrix import bits_to_int, int_to_bits
+from .bitmatrix import check_uint
 
 __all__ = [
     "BitWriter",
@@ -235,29 +237,38 @@ def dequantize_frequency(code: int, epsilon: float) -> float:
     return min(1.0, code * epsilon)
 
 
-def _uints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """``(len(values) * width,)`` boolean array, MSB first per value.
-
-    One broadcasted shift-and-mask for the whole batch; values must fit in
-    ``width`` bits and ``width`` must be 1..64 (wider single values go
-    through :func:`int_to_bits`, which is arbitrary precision).
-    """
+def _check_width(width: int) -> None:
     if not 1 <= width <= 64:
         raise SketchSizeError(f"batched uints need 1 <= width <= 64, got {width}")
+
+
+def _check_uints(values: Sequence[int] | np.ndarray, width: int) -> np.ndarray:
+    """``values`` as a 1-D uint64 array whose entries fit in ``width`` bits."""
+    _check_width(width)
     vals = np.asarray(values, dtype=np.uint64)
     if vals.ndim != 1:
         raise SketchSizeError(f"expected a 1-D value array, got shape {vals.shape}")
     if width < 64 and vals.size and int(vals.max()) >> width:
         bad = int(vals.max())
         raise SketchSizeError(f"value {bad} does not fit in {width} bits")
+    return vals
+
+
+def _uints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """``(len(values) * width,)`` boolean array, MSB first per value.
+
+    One broadcasted shift-and-mask for the whole batch; values must fit in
+    ``width`` bits and ``width`` must be 1..64 (wider single values go
+    through :meth:`BitWriter.write_uint`, which is arbitrary precision).
+    """
+    vals = _check_uints(values, width)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     return ((vals[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool).reshape(-1)
 
 
 def _bits_to_uints(bits: np.ndarray, width: int) -> np.ndarray:
     """Inverse of :func:`_uints_to_bits`: decode consecutive ``width``-bit fields."""
-    if not 1 <= width <= 64:
-        raise SketchSizeError(f"batched uints need 1 <= width <= 64, got {width}")
+    _check_width(width)
     arr = np.asarray(bits, dtype=bool)
     if arr.size % width:
         raise SketchSizeError(
@@ -268,41 +279,87 @@ def _bits_to_uints(bits: np.ndarray, width: int) -> np.ndarray:
     return (fields << shifts[None, :]).sum(axis=1, dtype=np.uint64)
 
 
-class BitWriter:
-    """Append-only bit stream backed by whole numpy chunks.
+def _uints_to_bytes(vals: np.ndarray, width: int) -> bytes:
+    """Big-endian ``width // 8``-byte fields; ``width`` is a multiple of 8."""
+    words = vals.astype(">u8")
+    if width == 64:
+        return words.tobytes()
+    return words.view(np.uint8).reshape(-1, 8)[:, 8 - width // 8 :].tobytes()
 
-    Writes append boolean chunks to an internal list; nothing is visited
-    per-bit in Python.  :meth:`getvalue` concatenates the chunks once and
-    packs them with a single vectorized :func:`numpy.packbits` call
-    (big-endian within each byte, zero padded to a byte boundary).
+
+def _bytes_to_uints(buf: bytes, offset: int, count: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_uints_to_bytes`, read in place from ``buf[offset:]``."""
+    if width == 64:
+        return np.frombuffer(buf, dtype=">u8", count=count, offset=offset).astype(
+            np.uint64
+        )
+    nbytes = width // 8
+    words = np.zeros((count, 8), dtype=np.uint8)
+    words[:, 8 - nbytes :] = np.frombuffer(
+        buf, dtype=np.uint8, count=count * nbytes, offset=offset
+    ).reshape(count, nbytes)
+    return words.view(">u8").reshape(count).astype(np.uint64)
+
+
+class BitWriter:
+    """Append-only bit stream kept packed: a ``bytearray`` plus a bit count.
+
+    Byte-aligned fields whose width is a multiple of 8 are appended as
+    bytes in one step; any other field packs only the bytes it spans and
+    merges into the partial last byte.  The bytes past :attr:`n_bits` in
+    that last byte are always zero, so :meth:`getvalue` is a copy of the
+    buffer (big-endian within each byte, zero padded to a byte boundary).
     """
 
     def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
+        self._buf = bytearray()
         self._n_bits = 0
+
+    def _append_bits(self, bits: np.ndarray) -> None:
+        """Pack a 1-D boolean array onto the stream at the current offset."""
+        if not bits.size:
+            return
+        offset = self._n_bits & 7
+        if offset:
+            packed = np.packbits(np.concatenate((np.zeros(offset, dtype=bool), bits)))
+            packed[0] |= self._buf.pop()
+        else:
+            packed = np.packbits(bits)
+        self._buf += packed.tobytes()
+        self._n_bits += bits.size
 
     def write_bit(self, bit: bool | int) -> None:
         """Append a single bit."""
-        self._chunks.append(np.array([bool(bit)]))
-        self._n_bits += 1
+        self.write_uint(1 if bit else 0, 1)
 
     def write_bits(self, bits: np.ndarray) -> None:
-        """Append a 1-D boolean array as one chunk.
+        """Append a 1-D boolean array.
 
-        The chunk is copied, so callers may reuse or mutate scratch
-        buffers after writing without corrupting the payload.
+        The bits are packed on the spot, so callers may reuse or mutate
+        scratch buffers after writing without corrupting the payload.
         """
-        arr = np.array(bits, dtype=bool, copy=True).reshape(-1)
-        self._chunks.append(arr)
-        self._n_bits += arr.size
+        self._append_bits(np.asarray(bits, dtype=bool).reshape(-1))
 
     def write_uint(self, value: int, width: int) -> None:
-        """Append a ``width``-bit unsigned integer, MSB first."""
-        self.write_bits(int_to_bits(value, width))
+        """Append a ``width``-bit unsigned integer, MSB first (any width)."""
+        value = operator.index(value)
+        check_uint(value, width)
+        offset = self._n_bits & 7
+        if offset:
+            value |= (self._buf.pop() >> (8 - offset)) << width
+        total = offset + width
+        pad = -total & 7
+        self._buf += (value << pad).to_bytes((total + pad) >> 3, "big")
+        self._n_bits += width
 
     def write_uints(self, values: Sequence[int] | np.ndarray, width: int) -> None:
         """Append many ``width``-bit unsigned integers in one vectorized pass."""
-        self.write_bits(_uints_to_bits(np.asarray(values), width))
+        if width & 7 or self._n_bits & 7:
+            self._append_bits(_uints_to_bits(values, width))
+        else:
+            vals = _check_uints(values, width)
+            self._buf += _uints_to_bytes(vals, width)
+            self._n_bits += vals.size * width
 
     def write_quantized(self, value: float, epsilon: float) -> None:
         """Append a frequency quantized to precision ``epsilon``."""
@@ -334,19 +391,17 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Packed payload (zero padded to a byte boundary)."""
-        if not self._n_bits:
-            return b""
-        if len(self._chunks) > 1:
-            # Coalesce so repeated getvalue calls stay cheap.
-            self._chunks = [np.concatenate(self._chunks)]
-        return np.packbits(self._chunks[0].astype(np.uint8)).tobytes()
+        return bytes(self._buf)
 
 
 class BitReader:
     """Strict sequential reader over a payload produced by :class:`BitWriter`.
 
-    The constructor validates the frame-level invariants the accounting
-    rests on:
+    The payload stays packed: the reader holds its bytes and a bit
+    position.  Byte-aligned fields whose width is a multiple of 8 are
+    read with one :func:`numpy.frombuffer` view; any other field unpacks
+    only the bytes it spans.  The constructor validates the frame-level
+    invariants the accounting rests on:
 
     * ``len(buf)`` must be exactly ``ceil(n_bits / 8)`` -- a payload that is
       too short cannot hold the declared bits, and one that is too long is
@@ -359,66 +414,70 @@ class BitReader:
     def __init__(self, buf: bytes, n_bits: int) -> None:
         if n_bits < 0:
             raise SketchSizeError(f"n_bits must be non-negative, got {n_bits}")
+        data = bytes(buf)
         need = (n_bits + 7) // 8
-        if len(buf) != need:
+        if len(data) != need:
             raise SketchSizeError(
-                f"payload of {len(buf)} bytes disagrees with declared "
+                f"payload of {len(data)} bytes disagrees with declared "
                 f"{n_bits} bits ({need} bytes expected)"
             )
-        raw = np.frombuffer(buf, dtype=np.uint8)
-        bits = np.unpackbits(raw) if raw.size else np.zeros(0, dtype=np.uint8)
-        if bits[n_bits:].any():
+        if n_bits & 7 and data[-1] & (0xFF >> (n_bits & 7)):
             raise SketchSizeError(
                 f"nonzero padding bits after declared bit {n_bits}: "
                 "payload corrupt or misdeclared"
             )
-        self._bits = bits[:n_bits].astype(bool)
+        self._buf = data
+        self._n_bits = n_bits
         self._pos = 0
 
-    @classmethod
-    def windowed(cls, chunks: Iterable[bytes], n_bits: int) -> "BitReader":
-        """A reader over an *iterator of byte chunks* with bounded memory.
-
-        The wire-format v2 decode path: payload windows arrive from a file
-        (or a decompressor) one at a time, and only the bits of the
-        currently buffered windows are held unpacked.  The same frame
-        invariants as the eager constructor are enforced, just lazily:
-        the chunks must together hold exactly ``ceil(n_bits / 8)`` bytes
-        (a short source raises on read, an oversized one as soon as the
-        excess chunk arrives), and the zero padding in the final byte must
-        be zero.  Pulling the final window also exhausts the source, so a
-        producer that frames its end (checksum trailers, chunk sentinels)
-        gets its finalization code run before the last read returns.
-        """
-        return _WindowedBitReader(chunks, n_bits)
-
-    def _take(self, count: int) -> np.ndarray:
+    def _advance(self, count: int) -> int:
+        """Claim the next ``count`` bits; returns their starting offset."""
         if count < 0:
             raise SketchSizeError(f"cannot read {count} bits")
-        if self._pos + count > len(self._bits):
+        start = self._pos
+        if start + count > self._n_bits:
             raise SketchSizeError(
-                f"bit stream exhausted: wanted {count} bits at offset {self._pos} "
-                f"of {len(self._bits)}"
+                f"bit stream exhausted: wanted {count} bits at offset {start} "
+                f"of {self._n_bits}"
             )
-        out = self._bits[self._pos : self._pos + count]
-        self._pos += count
-        return out
+        self._pos = start + count
+        return start
+
+    def _unpack(self, start: int, count: int) -> np.ndarray:
+        """Bits ``start .. start + count`` as booleans, unpacking only their bytes."""
+        if not count:
+            return np.zeros(0, dtype=bool)
+        skip = start & 7
+        span = np.frombuffer(
+            self._buf, dtype=np.uint8, count=(skip + count + 7) >> 3, offset=start >> 3
+        )
+        return np.unpackbits(span, count=skip + count)[skip:].view(bool)
 
     def read_bit(self) -> bool:
         """Read a single bit."""
-        return bool(self._take(1)[0])
+        start = self._advance(1)
+        return bool(self._buf[start >> 3] >> (7 - (start & 7)) & 1)
 
     def read_bits(self, count: int) -> np.ndarray:
         """Read ``count`` bits as a boolean array."""
-        return self._take(count)
+        return self._unpack(self._advance(count), count)
 
     def read_uint(self, width: int) -> int:
-        """Read a ``width``-bit unsigned integer, MSB first."""
-        return bits_to_int(self._take(width))
+        """Read a ``width``-bit unsigned integer, MSB first (any width)."""
+        start = self._advance(width)
+        end = start + width
+        value = int.from_bytes(self._buf[start >> 3 : (end + 7) >> 3], "big")
+        return (value >> (-end & 7)) & ((1 << width) - 1)
 
     def read_uints(self, count: int, width: int) -> np.ndarray:
         """Read ``count`` consecutive ``width``-bit integers in one pass."""
-        return _bits_to_uints(self._take(count * width), width)
+        _check_width(width)
+        start = self._advance(count * width)
+        if not count:
+            return np.zeros(0, dtype=np.uint64)
+        if width & 7 or start & 7:
+            return _bits_to_uints(self._unpack(start, count * width), width)
+        return _bytes_to_uints(self._buf, start >> 3, count, width)
 
     def read_quantized(self, epsilon: float) -> float:
         """Read a frequency quantized to precision ``epsilon``."""
@@ -432,107 +491,4 @@ class BitReader:
     @property
     def remaining(self) -> int:
         """Bits left unread."""
-        return len(self._bits) - self._pos
-
-
-class _WindowedBitReader(BitReader):
-    """Sequential reads over a chunk iterator, one window buffered at a time.
-
-    Constructed via :meth:`BitReader.windowed`.  Shares every ``read_*``
-    method with the eager reader through the single :meth:`_take`
-    primitive; only buffering differs.
-    """
-
-    _SENTINEL = object()
-
-    def __init__(self, chunks: Iterable[bytes], n_bits: int) -> None:
-        if n_bits < 0:
-            raise SketchSizeError(f"n_bits must be non-negative, got {n_bits}")
-        self._total = n_bits
-        self._need_bytes = (n_bits + 7) // 8
-        self._source: Iterator[bytes] | None = iter(chunks)
-        self._pending: deque[np.ndarray] = deque()
-        self._buffered = 0
-        self._consumed = 0
-        self._bytes_seen = 0
-        if self._need_bytes == 0:
-            self._exhaust_source()
-
-    def _exhaust_source(self) -> None:
-        """The declared bytes are all in: the source must end here too."""
-        extra = next(self._source, self._SENTINEL)  # type: ignore[arg-type]
-        if extra is not self._SENTINEL:
-            raise SketchSizeError(
-                f"payload continues past the declared {self._total} bits"
-            )
-        self._source = None
-
-    def _pull(self) -> None:
-        if self._source is None:
-            raise SketchSizeError(
-                f"bit stream exhausted: wanted more bits at offset "
-                f"{self._consumed} of {self._total}"
-            )
-        chunk = next(self._source, self._SENTINEL)
-        if chunk is self._SENTINEL:
-            raise SketchSizeError(
-                f"payload of {self._bytes_seen} bytes disagrees with declared "
-                f"{self._total} bits ({self._need_bytes} bytes expected)"
-            )
-        if not chunk:
-            return
-        self._bytes_seen += len(chunk)
-        if self._bytes_seen > self._need_bytes:
-            raise SketchSizeError(
-                f"payload of >= {self._bytes_seen} bytes disagrees with "
-                f"declared {self._total} bits ({self._need_bytes} bytes expected)"
-            )
-        bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
-        if self._bytes_seen == self._need_bytes:
-            keep = self._total - (self._bytes_seen - len(chunk)) * 8
-            if bits[keep:].any():
-                raise SketchSizeError(
-                    f"nonzero padding bits after declared bit {self._total}: "
-                    "payload corrupt or misdeclared"
-                )
-            bits = bits[:keep]
-            self._exhaust_source()
-        self._pending.append(bits.astype(bool))
-        self._buffered += bits.size
-
-    def _take(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise SketchSizeError(f"cannot read {count} bits")
-        if self._consumed + count > self._total:
-            raise SketchSizeError(
-                f"bit stream exhausted: wanted {count} bits at offset "
-                f"{self._consumed} of {self._total}"
-            )
-        while self._buffered < count:
-            self._pull()
-        parts: list[np.ndarray] = []
-        need = count
-        while need:
-            head = self._pending[0]
-            if head.size <= need:
-                parts.append(self._pending.popleft())
-                need -= head.size
-            else:
-                parts.append(head[:need])
-                self._pending[0] = head[need:]
-                need = 0
-        self._consumed += count
-        self._buffered -= count
-        if not parts:
-            return np.zeros(0, dtype=bool)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    @property
-    def buffered_bits(self) -> int:
-        """Bits currently held unpacked (the window-memory bound under test)."""
-        return self._buffered
-
-    @property
-    def remaining(self) -> int:
-        """Bits left unread."""
-        return self._total - self._consumed
+        return self._n_bits - self._pos

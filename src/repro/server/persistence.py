@@ -71,7 +71,7 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Iterator
 
 from ..db.serialize import encode_uvarint, read_uvarint
 from ..errors import PersistenceError, ReproError
@@ -247,6 +247,42 @@ class WalScan:
         return self.records[-1].seq if self.records else 0
 
 
+class _WalRecords:
+    """The intact records of an open WAL file, read one at a time.
+
+    Checks the header, every record's CRC and the sequence order as it
+    goes, raising :class:`PersistenceError` on mid-file corruption.  A
+    torn final record ends the iteration and sets :attr:`torn_tail`;
+    :attr:`good_offset` is the end of the last intact record.
+    """
+
+    def __init__(self, stream: IO[bytes], max_bytes: int) -> None:
+        _check_header(stream, _WAL_MAGIC, "WAL")
+        self._stream = stream
+        self._max_bytes = max_bytes
+        self.good_offset = stream.tell()
+        self.torn_tail = False
+
+    def __iter__(self) -> Iterator[WalRecord]:
+        last_seq = 0
+        while True:
+            try:
+                body = read_record(self._stream, max_bytes=self._max_bytes)
+            except TruncatedRecordError:
+                self.torn_tail = True
+                return
+            if body is None:
+                return
+            record = _parse_wal_body(body, self._max_bytes)
+            if record.seq <= last_seq:
+                raise PersistenceError(
+                    f"WAL sequence went backwards: {record.seq} after {last_seq}"
+                )
+            last_seq = record.seq
+            self.good_offset = self._stream.tell()
+            yield record
+
+
 class WriteAheadLog:
     """Append-only op log with fsync-before-ack durability.
 
@@ -282,33 +318,13 @@ class WriteAheadLog:
         """
         if not self.path.exists():
             return WalScan(records=(), good_offset=0, torn_tail=False, exists=False)
-        data = self.path.read_bytes()
-        stream = io.BytesIO(data)
-        _check_header(stream, _WAL_MAGIC, "WAL")
-        records: list[WalRecord] = []
-        offset = stream.tell()
-        torn = False
-        last_seq = 0
-        while True:
-            try:
-                body = read_record(stream, max_bytes=self.max_record_bytes)
-            except TruncatedRecordError:
-                torn = True
-                break
-            if body is None:
-                break
-            record = _parse_wal_body(body, self.max_record_bytes)
-            if record.seq <= last_seq:
-                raise PersistenceError(
-                    f"WAL sequence went backwards: {record.seq} after {last_seq}"
-                )
-            last_seq = record.seq
-            records.append(record)
-            offset = stream.tell()
+        with open(self.path, "rb") as stream:
+            reader = _WalRecords(stream, self.max_record_bytes)
+            records = tuple(reader)
         return WalScan(
-            records=tuple(records),
-            good_offset=offset,
-            torn_tail=torn,
+            records=records,
+            good_offset=reader.good_offset,
+            torn_tail=reader.torn_tail,
             exists=True,
         )
 
@@ -363,17 +379,19 @@ class WriteAheadLog:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-            survivors: list[WalRecord] = []
-            if self.path.exists():
-                survivors = [
-                    r for r in self.scan().records if r.seq > keep_after_seq
-                ]
             tmp = self.path.with_name(self.path.name + ".tmp")
             with open(tmp, "wb") as fresh:
                 fresh.write(_WAL_MAGIC + bytes([_PERSIST_VERSION]))
-                for record in survivors:
-                    body = encode_uvarint(record.seq) + record.request_body
-                    fresh.write(encode_record(body, max_bytes=self.max_record_bytes))
+                if self.path.exists():
+                    # One record resident at a time: survivors are copied
+                    # as they are read, never collected.
+                    with open(self.path, "rb") as stream:
+                        for record in _WalRecords(stream, self.max_record_bytes):
+                            if record.seq > keep_after_seq:
+                                body = encode_uvarint(record.seq) + record.request_body
+                                fresh.write(
+                                    encode_record(body, max_bytes=self.max_record_bytes)
+                                )
                 fresh.flush()
                 if self.sync:
                     os.fsync(fresh.fileno())

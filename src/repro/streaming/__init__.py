@@ -24,7 +24,20 @@ from .pipeline import (
 from .reservoir import ReservoirSample, RowReservoir
 from .space_saving import SpaceSaving
 from .sticky_sampling import StickySampling
-from .traffic import adversarial_traffic, bursty_traffic, zipf_traffic
+
+#: Resolved on first access (module ``__getattr__``), so that
+#: ``python -m repro.streaming.traffic`` does not find its own module
+#: already imported by this package.
+_TRAFFIC_NAMES = frozenset({"adversarial_traffic", "bursty_traffic", "zipf_traffic"})
+
+
+def __getattr__(name: str):
+    if name in _TRAFFIC_NAMES:
+        from . import traffic
+
+        return getattr(traffic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "StreamSummary",

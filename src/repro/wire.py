@@ -124,12 +124,15 @@ bit counts, and nonzero padding all raise
 :func:`read_frame`, and :func:`load` dispatch by the version byte, so
 every generation decodes through one entry point.
 
-Decoding is stream-first: :func:`load_from` hands codecs a windowed
-:meth:`~repro.db.serialize.BitReader.windowed` that pulls the stored
-payload (plain, zlib, or chunked) from the file in bounded windows as
-bits are consumed, verifying the running CRC when the final window
-arrives.  :func:`inspect_frame` reads the header (and checks the CRC by
-skimming) without decoding the payload at all.
+Decoding is stream-first: :func:`load_from` pulls the stored payload
+(plain, zlib, or chunked) from the stream in bounded reads of at most
+:data:`DEFAULT_CHUNK_BYTES` (``max_bytes`` caps the stored bytes read),
+assembles the uncompressed payload bytes once (exactly the declared
+``n_bits``, never more), and checks
+the byte total and the running CRC before the codec decodes any field
+from them through a packed :class:`~repro.db.serialize.BitReader`.
+:func:`inspect_frame` reads the header (and checks the CRC by skimming)
+without decoding the payload at all.
 
 Codecs are registered per *sketcher name* (``release-db``, ``subsample``,
 ...) and dispatch by concrete summary type, so
@@ -158,7 +161,7 @@ from .core.release_answers import ReleaseAnswersSketch
 from .core.release_db import ReleaseDbSketch
 from .core.subsample import SubsampleSketch
 from .db.database import BinaryDatabase
-from .db.packed import PackedRows, pack_rows
+from .db.packed import PackedRows, pack_rows, popcount_words
 from .db.serialize import (
     DEFAULT_CHUNK_BYTES,
     BitReader,
@@ -357,10 +360,10 @@ class Header:
 class Frame:
     """A decoded wire frame: codec id, header, and the payload.
 
-    Frames read from a stream (:func:`read_frame`) keep chunked payloads
-    *lazy*: the bytes stay in the file until :meth:`reader` pulls them in
-    windows or :attr:`payload` materializes them, and the trailing CRC is
-    verified exactly when the final chunk is consumed.  In-memory frames
+    Frames read from a stream (:func:`read_frame`) keep their payloads
+    *lazy*: the bytes stay in the stream until :attr:`payload` (or
+    :meth:`reader`) materializes them, and the byte total and trailing
+    CRC are verified as the final chunk is consumed.  In-memory frames
     (:func:`decode_frame`) are always materialized and verified up front.
     """
 
@@ -425,16 +428,13 @@ class Frame:
         return self._payload
 
     def reader(self) -> BitReader:
-        """A strict bit reader over the payload.
+        """A strict bit reader over :attr:`payload`.
 
-        In-memory frames get the eager reader (validates length and
-        padding up front); streamed frames get the windowed reader, which
-        enforces the same invariants chunk by chunk without materializing
-        the payload.
+        A streamed frame reads its payload to the end first, so the byte
+        total and the trailing CRC are checked before any field is
+        decoded; the reader then validates length and padding.
         """
-        if self._payload is not None:
-            return BitReader(self._payload, self.n_bits)
-        return BitReader.windowed(self._claim_chunks(), self.n_bits)
+        return BitReader(self.payload, self.n_bits)
 
 
 @dataclass(frozen=True)
@@ -869,6 +869,12 @@ def _delta_encode_payload(payload: bytes, n_bits: int) -> bytes | None:
     Stored bytes only: the charged ``n_bits`` is untouched.
     """
     if not n_bits or not payload:
+        return None
+    words = np.frombuffer(payload + bytes(-len(payload) % 8), dtype=np.uint64)
+    popcount = int(popcount_words(words).sum())
+    # Every set bit costs at least one varint byte: a payload this dense
+    # cannot win, so skip the unpack and the per-gap pricing.
+    if len(encode_uvarint(popcount)) + popcount >= len(payload):
         return None
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n_bits]
     positions = np.flatnonzero(bits).astype(np.uint64)
@@ -2092,9 +2098,9 @@ def load(buf: bytes) -> Any:
 def load_from(stream: IO[bytes], *, max_bytes: int | None = None) -> Any:
     """:func:`load` from a binary stream (one frame consumed exactly).
 
-    v2 payloads decode windowed: stored bytes flow from the stream into
-    the codec's bit reader without materializing, and the trailing CRC
-    is verified when the final window is consumed.
+    The stream is read in bounded windows; the payload is assembled
+    once and its byte total and trailing CRC are verified before the
+    codec decodes it.
     ``max_bytes`` bounds the frame's total byte consumption, as in
     :func:`read_frame` -- the knob untrusted-transport callers (the
     sketch server) use to reject oversized frames up front.

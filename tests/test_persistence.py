@@ -23,6 +23,7 @@ The contract under test, in increasing order of assembly:
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,28 @@ class TestWriteAheadLog:
         wal.close()
         scan = wal.scan()
         assert [r.seq for r in scan.records] == [3, 4, seq]
+
+    def test_reset_streams_a_large_log(self, tmp_path):
+        """Compaction copies each survivor as it reads it: the traced
+        peak stays below an eighth of the log's size."""
+        wal = WriteAheadLog(tmp_path / "wal.log", sync=False)
+        wal.open_append()
+        body = _ingest_body("cm", np.arange(65_536))
+        for _ in range(64):
+            wal.append(body)
+        size = wal.path.stat().st_size
+        assert size >= 32 << 20
+        tracemalloc.start()
+        try:
+            wal.reset(keep_after_seq=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        wal.close()
+        assert peak < size / 8, f"reset peaked at {peak} B for a {size} B log"
+        scan = wal.scan()
+        assert [r.seq for r in scan.records] == [61, 62, 63, 64]
+        assert all(r.request_body == body for r in scan.records)
 
 
 # ----------------------------------------------------------------------

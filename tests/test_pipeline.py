@@ -439,3 +439,21 @@ class TestTraffic:
         text = capsysbinary.readouterr().out.decode()
         items = np.array(text.split(), dtype=np.int64)
         assert items.size == 50 and int(items.max()) < 32
+
+    def test_traffic_module_runs_without_runtime_warning(self):
+        """``python -m repro.streaming.traffic`` must not find its own
+        module already imported by the package (runpy's RuntimeWarning)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.streaming.traffic",
+                "zipf", "--d", "100", "--items", "1000", "--format", "u64",
+            ],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert len(proc.stdout) == 8 * 1000

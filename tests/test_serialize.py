@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.db.bitmatrix import int_to_bits
 from repro.db.serialize import (
     BitReader,
     BitWriter,
+    _uints_to_bits,
     dequantize_frequency,
     encode_svarint,
     encode_uvarint,
@@ -143,6 +145,107 @@ class TestBitStream:
         assert writer.getvalue() == b"\xff"
 
 
+class _ChunkListWriter:
+    """Reference writer: one bool per bit in a chunk list, packed once.
+
+    The layout the packed :class:`BitWriter` must reproduce byte for
+    byte: every field is expanded MSB first (``int_to_bits`` /
+    ``_uints_to_bits``) and the concatenation goes through a single
+    :func:`numpy.packbits` at :meth:`getvalue` time.
+    """
+
+    def __init__(self) -> None:
+        self.chunks: list[np.ndarray] = []
+        self.n_bits = 0
+
+    def _push(self, bits: np.ndarray) -> None:
+        self.chunks.append(bits)
+        self.n_bits += bits.size
+
+    def write_bit(self, bit: bool) -> None:
+        self._push(np.array([bool(bit)]))
+
+    def write_bits(self, bits) -> None:
+        self._push(np.array(bits, dtype=bool).reshape(-1))
+
+    def write_uint(self, value: int, width: int) -> None:
+        self._push(int_to_bits(value, width))
+
+    def write_uints(self, values, width: int) -> None:
+        self._push(_uints_to_bits(np.asarray(values, dtype=np.uint64), width))
+
+    def getvalue(self) -> bytes:
+        if not self.n_bits:
+            return b""
+        return np.packbits(np.concatenate(self.chunks)).tobytes()
+
+
+# Byte multiples are drawn often so the one-step byte-aligned paths run
+# alongside the general ones at every offset mod 8.
+_WIDTHS = st.one_of(st.sampled_from([8, 16, 24, 32, 40, 48, 56, 64]), st.integers(1, 64))
+
+
+def _fixed_width(width_strategy, values):
+    return width_strategy.flatmap(
+        lambda w: st.tuples(st.just(w), values(w))
+    )
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("bit"), st.booleans()),
+        st.tuples(st.just("bits"), st.lists(st.booleans(), max_size=40)),
+        st.tuples(
+            st.just("uint"),
+            _fixed_width(_WIDTHS, lambda w: st.integers(0, 2**w - 1)),
+        ),
+        st.tuples(
+            st.just("uints"),
+            _fixed_width(
+                _WIDTHS, lambda w: st.lists(st.integers(0, 2**w - 1), max_size=12)
+            ),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestPackedLayer:
+    """The packed writer and reader against the chunk-list reference."""
+
+    @given(_OPS)
+    def test_property_mixed_fields_match_reference(self, ops):
+        writer, reference = BitWriter(), _ChunkListWriter()
+        for kind, arg in ops:
+            for target in (writer, reference):
+                if kind == "bit":
+                    target.write_bit(arg)
+                elif kind == "bits":
+                    target.write_bits(np.array(arg, dtype=bool))
+                elif kind == "uint":
+                    target.write_uint(arg[1], arg[0])
+                else:
+                    target.write_uints(arg[1], arg[0])
+        payload = writer.getvalue()
+        assert payload == reference.getvalue()
+        assert writer.n_bits == reference.n_bits
+
+        reader = BitReader(payload, writer.n_bits)
+        for kind, arg in ops:
+            if kind == "bit":
+                assert reader.read_bit() is arg
+            elif kind == "bits":
+                assert reader.read_bits(len(arg)).tolist() == arg
+            elif kind == "uint":
+                assert reader.read_uint(arg[0]) == arg[1]
+            else:
+                width, values = arg
+                got = reader.read_uints(len(values), width)
+                assert got.dtype == np.uint64
+                assert got.tolist() == values
+        assert reader.remaining == 0
+
+
 class TestReaderHardening:
     """The strict reader contract the wire format relies on."""
 
@@ -213,94 +316,3 @@ class TestVarints:
         stream = io.BytesIO(encode_uvarint(300) + b"\x05tail")
         assert read_uvarint(stream) == 300
         assert stream.read(1) == b"\x05"
-
-
-class TestWindowedReader:
-    """BitReader.windowed: sequential reads over a chunk iterator."""
-
-    def _payload(self, n_bits=4000, seed=1):
-        rng = np.random.default_rng(seed)
-        writer = BitWriter()
-        writer.write_bits(rng.random(n_bits) < 0.4)
-        return writer.getvalue(), n_bits
-
-    def _chunks(self, buf, size):
-        return (buf[i : i + size] for i in range(0, len(buf), size))
-
-    def test_matches_eager_reader(self):
-        buf, n_bits = self._payload()
-        eager = BitReader(buf, n_bits)
-        lazy = BitReader.windowed(self._chunks(buf, 17), n_bits)
-        np.testing.assert_array_equal(
-            eager.read_bits(n_bits), lazy.read_bits(n_bits)
-        )
-        assert lazy.remaining == 0
-
-    def test_mixed_field_reads_match(self):
-        writer = BitWriter()
-        writer.write_uint(301, 10)
-        writer.write_bits(np.array([1, 0, 1], dtype=bool))
-        writer.write_uints(np.arange(50, dtype=np.uint64), 13)
-        writer.write_quantized(0.37, 0.05)
-        buf, n_bits = writer.getvalue(), writer.n_bits
-        lazy = BitReader.windowed(self._chunks(buf, 5), n_bits)
-        assert lazy.read_uint(10) == 301
-        np.testing.assert_array_equal(
-            lazy.read_bits(3), np.array([1, 0, 1], dtype=bool)
-        )
-        np.testing.assert_array_equal(
-            lazy.read_uints(50, 13), np.arange(50, dtype=np.uint64)
-        )
-        expected = dequantize_frequency(quantize_frequency(0.37, 0.05), 0.05)
-        assert lazy.read_quantized(0.05) == expected
-
-    def test_buffered_bits_stay_windowed(self):
-        buf, n_bits = self._payload()
-        window = 32  # bytes
-        lazy = BitReader.windowed(self._chunks(buf, window), n_bits)
-        while lazy.remaining:
-            lazy.read_bits(min(64, lazy.remaining))
-            assert lazy.buffered_bits <= 8 * window
-
-    def test_short_source_raises(self):
-        buf, n_bits = self._payload()
-        lazy = BitReader.windowed(self._chunks(buf[:-10], 16), n_bits)
-        with pytest.raises(SketchSizeError, match="disagrees"):
-            lazy.read_bits(n_bits)
-
-    def test_oversized_source_raises(self):
-        buf, n_bits = self._payload()
-        lazy = BitReader.windowed(self._chunks(buf + b"\x00", 16), n_bits)
-        with pytest.raises(SketchSizeError):
-            lazy.read_bits(n_bits)
-
-    def test_overread_raises(self):
-        buf, n_bits = self._payload(n_bits=64)
-        lazy = BitReader.windowed(self._chunks(buf, 4), n_bits)
-        lazy.read_bits(64)
-        with pytest.raises(SketchSizeError, match="exhausted"):
-            lazy.read_bit()
-
-    def test_nonzero_padding_rejected_lazily(self):
-        lazy = BitReader.windowed(iter([b"\xff"]), 3)
-        with pytest.raises(SketchSizeError, match="padding"):
-            lazy.read_bits(3)
-
-    def test_final_window_exhausts_source(self):
-        """Pulling the last chunk also drives the producer to its end."""
-        buf, n_bits = self._payload(n_bits=128)
-        finalized = []
-
-        def producer():
-            yield from self._chunks(buf, 4)
-            finalized.append(True)
-
-        lazy = BitReader.windowed(producer(), n_bits)
-        lazy.read_bits(n_bits)
-        assert finalized == [True]
-
-    def test_empty_payload(self):
-        lazy = BitReader.windowed(iter([]), 0)
-        assert lazy.remaining == 0
-        with pytest.raises(SketchSizeError):
-            lazy.read_bit()

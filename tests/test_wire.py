@@ -539,8 +539,8 @@ class TestWireV2:
                 # Exactly one frame was consumed: the stream is at EOF.
                 assert stream.read() == b""
 
-    def test_chunked_decode_is_windowed(self):
-        """load_from never issues a payload-sized read from the file."""
+    def test_chunked_decode_reads_at_most_one_chunk(self):
+        """load_from never issues a stream read larger than one chunk."""
         db = random_database(400, 16, 0.3, rng=6)
         p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
         sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
@@ -820,7 +820,7 @@ class TestStreamTruncation:
                     frame.payload
 
     def test_every_cut_fails_cleanly_windowed_reader(self):
-        # Decoding through the windowed bit reader (the codec path).
+        # Decoding a one-byte-per-read stream all the way through the codec.
         frame_bytes = self._frames()["v2-chunked"]
         for cut in range(len(frame_bytes)):
             with pytest.raises(WireFormatError):

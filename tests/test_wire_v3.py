@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import wire
-from repro.db.serialize import encode_uvarint
+from repro.db.serialize import encode_uvarint, uvarint_lengths
 from repro.errors import WireFormatError
 from repro.streaming import MisraGries
 
@@ -199,6 +199,24 @@ class TestChargedBits:
             shrunk += on.record_bytes < off.record_bytes
             assert wire.dump(with_delta.load(name)) == wire.dump(obj)
         assert shrunk > 0, "delta never engaged on any sparse payload"
+
+    def test_dense_payload_skips_the_delta_pricing(self, monkeypatch):
+        """A payload whose popcount alone reaches its length is refused
+        before any gap is priced; a sparse one still encodes."""
+        calls = []
+
+        def spy(values):
+            calls.append(len(values))
+            return uvarint_lengths(values)
+
+        monkeypatch.setattr(wire, "uvarint_lengths", spy)
+        dense = bytes([0xFF, 0x0F, 0x01, 0x80]) * 16
+        assert wire._delta_encode_payload(dense, 8 * len(dense)) is None
+        assert calls == []
+        sparse = bytes(63) + b"\x01"
+        encoded = wire._delta_encode_payload(sparse, 8 * len(sparse))
+        assert encoded is not None and calls
+        assert wire._delta_decode_payload(encoded, 8 * len(sparse)) == sparse
 
     def test_stored_never_exceeds_raw(self):
         """min(raw, delta, zlib) selection: v3 stored <= raw packed bytes."""
